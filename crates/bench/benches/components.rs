@@ -42,38 +42,42 @@ fn bench_wire_codec(c: &mut Criterion) {
 }
 
 fn bench_event_queue(c: &mut Criterion) {
-    use lastcpu_sim::{EventQueue, QueueEngine};
+    use lastcpu_sim::{EventQueue, HeapQueue};
     // Steady-state churn at constant depth: pop the earliest event,
     // schedule a replacement. Compares the timing wheel against the
     // reference heap on the same deterministic delay stream.
-    for engine in [QueueEngine::Wheel, QueueEngine::Heap] {
-        c.bench_function(&format!("queue/churn_depth_4k/{}", engine.name()), |b| {
-            let mut q: EventQueue<u64> = EventQueue::with_engine(engine);
-            let mut rng = DetRng::new(7);
-            let mut delay = move || SimDuration::from_nanos(1 + rng.below(1 << 16));
-            for i in 0..4096u64 {
-                q.schedule_in(delay(), i);
-            }
-            b.iter(|| {
-                let ev = q.pop().expect("constant depth");
-                q.schedule_in(delay(), black_box(ev.event));
-            })
-        });
-        c.bench_function(&format!("queue/push_pop_burst_64/{}", engine.name()), |b| {
-            let mut q: EventQueue<u64> = EventQueue::with_engine(engine);
-            b.iter(|| {
-                for i in 0..64u64 {
-                    // Same-instant burst: exercises the FIFO tie-break path.
-                    q.schedule_in(SimDuration::from_nanos(100), i);
+    macro_rules! queue_benches {
+        ($name:literal, $Q:ident) => {
+            c.bench_function(concat!("queue/churn_depth_4k/", $name), |b| {
+                let mut q: $Q<u64> = $Q::new();
+                let mut rng = DetRng::new(7);
+                let mut delay = move || SimDuration::from_nanos(1 + rng.below(1 << 16));
+                for i in 0..4096u64 {
+                    q.schedule_in(delay(), i);
                 }
-                let mut acc = 0u64;
-                while let Some(ev) = q.pop() {
-                    acc = acc.wrapping_add(ev.event);
-                }
-                black_box(acc)
-            })
-        });
+                b.iter(|| {
+                    let ev = q.pop().expect("constant depth");
+                    q.schedule_in(delay(), black_box(ev.event));
+                })
+            });
+            c.bench_function(concat!("queue/push_pop_burst_64/", $name), |b| {
+                let mut q: $Q<u64> = $Q::new();
+                b.iter(|| {
+                    for i in 0..64u64 {
+                        // Same-instant burst: exercises the FIFO tie-break path.
+                        q.schedule_in(SimDuration::from_nanos(100), i);
+                    }
+                    let mut acc = 0u64;
+                    while let Some(ev) = q.pop() {
+                        acc = acc.wrapping_add(ev.event);
+                    }
+                    black_box(acc)
+                })
+            });
+        };
     }
+    queue_benches!("wheel", EventQueue);
+    queue_benches!("heap", HeapQueue);
 }
 
 fn bench_virtqueue(c: &mut Criterion) {

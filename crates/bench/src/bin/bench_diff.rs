@@ -8,12 +8,14 @@
 //! non-zero when any metric regresses beyond its threshold. Both files must
 //! describe the same experiment (`"experiment"` field). Supported:
 //!
-//! - **e9** — per engine, per phase: `events_per_sec` may not drop more
-//!   than `--events-tol` percent (default 5); `allocs_per_event` may not
-//!   rise by more than `--allocs-tol` absolute (default 0.5).
-//! - **e10** — per matched `(machines, replication, policy, threads)` cell
-//!   (schema-v1 artifacts carry no policy and match as `"static"`;
-//!   pre-v3 artifacts carry no thread count and match as `1`):
+//! - **e9** — per engine, per phase present in both artifacts (the heap
+//!   reference has only a queue phase since schema v3): `events_per_sec`
+//!   may not drop more than `--events-tol` percent (default 5);
+//!   `allocs_per_event` may not rise by more than `--allocs-tol` absolute
+//!   (default 0.5).
+//! - **e10** — per matched `(machines, replication, policy, topology,
+//!   oversub)` cell (schema-v1 artifacts carry no policy and match as
+//!   `"static"`; pre-v4 artifacts carry no topology and match as flat):
 //!   `agg_ops_per_sec` may not drop more than `--events-tol` percent;
 //!   `p99_us` may not rise more than `--p99-tol` percent (default 10);
 //!   `failovers` may not exceed the baseline by more than the p99
@@ -25,12 +27,7 @@
 //!   may not drop below the baseline by more than `--coverage-tol`
 //!   absolute (default 0.02); the critical-path `sum_error` may not rise
 //!   above `--p99-tol` percent of total.
-//! - **e13** — per matched `threads` cell: `events` and the determinism
-//!   `digest` must be *exactly* equal (virtual-time results are
-//!   deterministic — any drift is a regression, not noise);
-//!   `events_per_sec`, when both artifacts carry wall metrics, may not
-//!   drop more than `--events-tol` percent.
-//! - **e14** — per matched `(seed, threads, crash)` cell: the continuation
+//! - **e14** — per matched `(seed, crash)` cell: the continuation
 //!   `digest` and `ckpt_events` must be *exactly* equal; `ckpt_bytes` may
 //!   not grow more than `--p99-tol` percent. Candidate-side invariants:
 //!   crash cells at R ≥ 2 must report `lost_acked_keys = 0`, and the
@@ -194,6 +191,12 @@ fn diff_e9(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
         };
         for phase in ["queue", "system"] {
             let what = format!("{engine}.{phase}");
+            // Schema v3 dropped the heap's system phase: the heap is a
+            // queue-only reference now.
+            if b.get(phase).is_none() || c.get(phase).is_none() {
+                println!("  {what}: absent on one side, skipped");
+                continue;
+            }
             d.throughput(
                 &what,
                 num(b, &format!("{phase}.events_per_sec"))?,
@@ -217,10 +220,9 @@ fn diff_e10(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
             .unwrap_or_default()
     };
     // Schema v1 predates the retry-policy ablation; its cells are what the
-    // v2 schema calls the "static" arm. Pre-v3 cells predate the parallel
-    // fabric and always ran single-threaded. Pre-v4 cells predate the
-    // topology matrix and always ran the flat single-spine fabric.
-    let key = |c: &Json| -> Option<(u64, u64, String, u64, String, u64)> {
+    // v2 schema calls the "static" arm. Pre-v4 cells predate the topology
+    // matrix and always ran the flat single-spine fabric.
+    let key = |c: &Json| -> Option<(u64, u64, String, String, u64)> {
         Some((
             c.get("machines")?.as_f64()? as u64,
             c.get("replication")?.as_f64()? as u64,
@@ -228,7 +230,6 @@ fn diff_e10(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
                 .and_then(Json::as_str)
                 .unwrap_or("static")
                 .to_string(),
-            c.get("threads").and_then(Json::as_f64).unwrap_or(1.0) as u64,
             c.get("topology")
                 .and_then(Json::as_str)
                 .unwrap_or("flat")
@@ -243,7 +244,7 @@ fn diff_e10(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
             println!("  cell {k:?}: absent in candidate, skipped");
             continue;
         };
-        let what = format!("m{}r{}[{}]t{}.{}x{}", k.0, k.1, k.2, k.3, k.4, k.5);
+        let what = format!("m{}r{}[{}].{}x{}", k.0, k.1, k.2, k.3, k.4);
         d.throughput(
             &what,
             num(&b, "agg_ops_per_sec")?,
@@ -263,57 +264,11 @@ fn diff_e10(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
         if k.1 >= 2 {
             d.must_be_zero(
                 &format!(
-                    "crash.m{}r{}[{}]t{}.{}x{}.lost_acked_keys",
-                    k.0, k.1, k.2, k.3, k.4, k.5
+                    "crash.m{}r{}[{}].{}x{}.lost_acked_keys",
+                    k.0, k.1, k.2, k.3, k.4
                 ),
                 num(&c, "lost_acked_keys")?,
             );
-        }
-    }
-    Ok(())
-}
-
-fn diff_e13(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
-    let cells = |j: &Json| -> Vec<Json> {
-        j.get("cells")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default()
-    };
-    let key = |c: &Json| -> Option<u64> { Some(c.get("threads")?.as_f64()? as u64) };
-    let cand_cells = cells(cand);
-    for b in cells(base) {
-        let Some(k) = key(&b) else { continue };
-        let Some(c) = cand_cells.iter().find(|c| key(c) == Some(k)) else {
-            println!("  cell threads={k}: absent in candidate, skipped");
-            continue;
-        };
-        let what = format!("threads{k}");
-        // Virtual-time results are deterministic: the event count and the
-        // determinism digest must be bitwise equal, never "close".
-        d.identical(
-            &format!("{what}.events"),
-            &format!("{:.0}", num(&b, "events")?),
-            &format!("{:.0}", num(c, "events")?),
-        );
-        let digest = |j: &Json| {
-            j.get("digest")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string()
-        };
-        d.identical(&format!("{what}.digest"), &digest(&b), &digest(c));
-        // Wall throughput is host noise; only compare when both artifacts
-        // measured it (`--no-wall` omits it for byte-identical CI reruns).
-        match (b.path("events_per_sec"), c.path("events_per_sec")) {
-            (Some(bb), Some(cc)) => {
-                let (bb, cc) = (
-                    bb.as_f64().ok_or("bad events_per_sec")?,
-                    cc.as_f64().ok_or("bad events_per_sec")?,
-                );
-                d.throughput(&what, bb, cc);
-            }
-            _ => println!("  {what}: wall metrics absent, throughput skipped"),
         }
     }
     Ok(())
@@ -326,10 +281,9 @@ fn diff_e14(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
             .map(<[Json]>::to_vec)
             .unwrap_or_default()
     };
-    let key = |c: &Json| -> Option<(u64, u64, bool)> {
+    let key = |c: &Json| -> Option<(u64, bool)> {
         Some((
             c.get("seed")?.as_f64()? as u64,
-            c.get("threads")?.as_f64()? as u64,
             matches!(c.get("crash").and_then(Json::as_bool), Some(true)),
         ))
     };
@@ -340,7 +294,7 @@ fn diff_e14(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
             println!("  cell {k:?}: absent in candidate, skipped");
             continue;
         };
-        let what = format!("s{:x}t{}{}", k.0, k.1, if k.2 { "c" } else { "" });
+        let what = format!("s{:x}{}", k.0, if k.1 { "c" } else { "" });
         // The continuation digest is deterministic: any drift means the
         // snapshot subsystem (or the simulator under it) changed behavior.
         let digest = |j: &Json| {
@@ -369,9 +323,9 @@ fn diff_e14(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
     let replication = num(cand, "config.replication").unwrap_or(0.0);
     for c in &cand_cells {
         let Some(k) = key(c) else { continue };
-        if k.2 && replication >= 2.0 {
+        if k.1 && replication >= 2.0 {
             d.must_be_zero(
-                &format!("s{:x}t{}c.lost_acked_keys", k.0, k.1),
+                &format!("s{:x}c.lost_acked_keys", k.0),
                 num(c, "lost_acked_keys")?,
             );
         }
@@ -474,7 +428,6 @@ fn run() -> Result<i32, String> {
         "e9" => diff_e9(&mut d, &base, &cand)?,
         "e10" => diff_e10(&mut d, &base, &cand)?,
         "e12" => diff_e12(&mut d, &base, &cand)?,
-        "e13" => diff_e13(&mut d, &base, &cand)?,
         "e14" => diff_e14(&mut d, &base, &cand)?,
         other => return Err(format!("unsupported experiment {other:?}")),
     }

@@ -33,12 +33,9 @@
 //!
 //! Everything is virtual-time; two same-flag runs produce byte-identical
 //! JSON (`scripts/ci.sh` double-runs the smoke configuration and diffs,
-//! including a 16-machine leaf-spine arm). `--threads N` steps the rack on
-//! N fabric worker threads — the windowed scheduler makes the results
-//! bit-identical to `--threads 1`, so CI also diffs a 1-vs-4-thread pair;
-//! only wall-clock time may change.
+//! including a 16-machine leaf-spine arm).
 //!
-//! Writes `BENCH_e10.json` (override with `--out`); schema v4 in
+//! Writes `BENCH_e10.json` (override with `--out`); schema v5 in
 //! `EXPERIMENTS.md`. `--trace-out` dumps the *merged* rack trace of the last
 //! run (sources prefixed `m{i}/`, correlation ids rack-unique, so Perfetto
 //! draws cross-machine spans); `--metrics-out` dumps the fabric metrics hub.
@@ -63,7 +60,6 @@ struct Args {
     outstanding: usize,
     read_fraction: f64,
     seed: u64,
-    threads: usize,
     out: String,
     no_crash: bool,
     trace_out: Option<String>,
@@ -99,7 +95,6 @@ impl Args {
             outstanding: 8,
             read_fraction: 0.95,
             seed: 0xE10,
-            threads: 1,
             out: "BENCH_e10.json".into(),
             no_crash: false,
             trace_out: None,
@@ -143,7 +138,6 @@ impl Args {
                 "--outstanding" => a.outstanding = val().parse().expect("--outstanding"),
                 "--read-fraction" => a.read_fraction = val().parse().expect("--read-fraction"),
                 "--seed" => a.seed = val().parse().expect("--seed"),
-                "--threads" => a.threads = val().parse().expect("--threads"),
                 "--out" => a.out = val(),
                 "--no-crash" => a.no_crash = true,
                 "--trace-out" => a.trace_out = it.next(),
@@ -200,7 +194,6 @@ impl Bench {
     ) -> Bench {
         let mut setup = build_rack_kvs_with_policy(
             FabricConfig {
-                threads: args.threads,
                 topology: TopologyConfig {
                     kind: topology,
                     oversub,
@@ -358,7 +351,6 @@ struct ScaleCell {
     policy: RetryPolicy,
     topology: TopoKind,
     oversub: u64,
-    threads: usize,
     done: bool,
     ops: u64,
     agg_ops_per_sec: f64,
@@ -381,7 +373,7 @@ impl ScaleCell {
             concat!(
                 "{{\"machines\": {}, \"replication\": {}, \"policy\": \"{}\", ",
                 "\"topology\": \"{}\", \"oversub\": {}, ",
-                "\"threads\": {}, \"done\": {}, \"ops\": {}, ",
+                "\"done\": {}, \"ops\": {}, ",
                 "\"agg_ops_per_sec\": {:.1}, \"p50_us\": {:.3}, \"p99_us\": {:.3}, ",
                 "\"fabric_bytes\": {}, \"frames_forwarded\": {}, ",
                 "\"failovers\": {}, \"give_ups\": {}, ",
@@ -394,7 +386,6 @@ impl ScaleCell {
             self.policy,
             self.topology,
             self.oversub,
-            self.threads,
             self.done,
             self.ops,
             self.agg_ops_per_sec,
@@ -420,7 +411,6 @@ struct CrashCell {
     policy: RetryPolicy,
     topology: TopoKind,
     oversub: u64,
-    threads: usize,
     crash_at_ms: f64,
     done: bool,
     ops: u64,
@@ -439,7 +429,7 @@ impl CrashCell {
             concat!(
                 "{{\"machines\": {}, \"replication\": {}, \"policy\": \"{}\", ",
                 "\"topology\": \"{}\", \"oversub\": {}, ",
-                "\"threads\": {}, \"crash_at_ms\": {:.3}, ",
+                "\"crash_at_ms\": {:.3}, ",
                 "\"done\": {}, \"ops\": {}, \"timeouts\": {}, \"unavailable\": {}, ",
                 "\"errors\": {}, \"give_ups\": {}, \"failovers\": {}, ",
                 "\"acked_keys\": {}, \"lost_acked_keys\": {}}}"
@@ -449,7 +439,6 @@ impl CrashCell {
             self.policy,
             self.topology,
             self.oversub,
-            self.threads,
             self.crash_at_ms,
             self.done,
             self.ops,
@@ -493,7 +482,6 @@ fn run_scale_cell(
         policy,
         topology,
         oversub,
-        threads: args.threads,
         done,
         ops: b.sum_clients(|c| c.ops_done()),
         agg_ops_per_sec: b.agg_ops_per_sec(),
@@ -542,7 +530,6 @@ fn run_crash_cell(
         policy,
         topology,
         oversub,
-        threads: args.threads,
         crash_at_ms: crash_at.as_nanos() as f64 / 1e6,
         done,
         ops: b.sum_clients(|c| c.ops_done()),
@@ -707,14 +694,13 @@ fn main() {
     }
 
     // --- JSON -------------------------------------------------------------
-    let mut body = String::from("{\n  \"experiment\": \"e10\",\n  \"schema_version\": 4,\n");
+    let mut body = String::from("{\n  \"experiment\": \"e10\",\n  \"schema_version\": 5,\n");
     body.push_str(&format!(
         concat!(
             "  \"config\": {{\"machines\": {:?}, \"replication\": {:?}, ",
             "\"policies\": [{}], \"topologies\": [{}], \"oversub\": {:?}, ",
             "\"ops_per_client\": {}, \"keys\": {}, \"value_size\": {}, ",
-            "\"outstanding\": {}, \"read_fraction\": {:.3}, \"seed\": {}, ",
-            "\"threads\": {}}},\n"
+            "\"outstanding\": {}, \"read_fraction\": {:.3}, \"seed\": {}}},\n"
         ),
         args.machines,
         args.replication,
@@ -734,8 +720,7 @@ fn main() {
         args.value_size,
         args.outstanding,
         args.read_fraction,
-        args.seed,
-        args.threads
+        args.seed
     ));
     body.push_str("  \"scaling\": [\n");
     for (i, c) in cells.iter().enumerate() {

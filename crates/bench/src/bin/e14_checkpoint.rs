@@ -8,7 +8,7 @@
 //! byte-for-byte verification of every section. E14 exercises the full
 //! matrix the correctness bar demands:
 //!
-//! - **Byte-identity** — for each seed × thread count × fault arm, run a
+//! - **Byte-identity** — for each seed × fault arm, run a
 //!   reference rack to completion, checkpointing at a mid-run barrier; then
 //!   build a second rack from the same recipe, `restore_from` the
 //!   checkpoint (replay + verify — any divergence fails loudly), continue
@@ -52,7 +52,6 @@ struct Args {
     value_size: usize,
     outstanding: usize,
     seeds: Vec<u64>,
-    threads: Vec<usize>,
     /// Virtual microseconds into the run at which the checkpoint is taken.
     ckpt_at_us: u64,
     /// Write the reference run's checkpoint here (first cell, or the
@@ -64,7 +63,6 @@ struct Args {
     /// Cell parameters for `--restore-from` mode (the child must rebuild
     /// the exact recipe the checkpoint came from).
     seed: u64,
-    thread_count: usize,
     crash: bool,
     /// Include wall-clock timings in the artifact; `--no-wall` omits them
     /// so same-flag CI reruns are byte-identical.
@@ -82,12 +80,10 @@ impl Args {
             value_size: 128,
             outstanding: 8,
             seeds: vec![0xE14, 0xE14 + 1, 0xE14 + 2],
-            threads: vec![1, 4],
             ckpt_at_us: 2_500,
             checkpoint_out: None,
             restore_from: None,
             seed: 0xE14,
-            thread_count: 1,
             crash: false,
             wall: true,
             out: "BENCH_e14.json".into(),
@@ -109,25 +105,17 @@ impl Args {
                         .map(|p| p.trim().parse().unwrap_or_else(|_| panic!("bad --seeds")))
                         .collect();
                 }
-                "--threads" => {
-                    a.threads = val()
-                        .split(',')
-                        .filter(|p| !p.is_empty())
-                        .map(|p| p.trim().parse().unwrap_or_else(|_| panic!("bad --threads")))
-                        .collect();
-                }
                 "--ckpt-at-us" => a.ckpt_at_us = val().parse().expect("--ckpt-at-us"),
                 "--checkpoint-out" => a.checkpoint_out = Some(val()),
                 "--restore-from" => a.restore_from = Some(val()),
                 "--seed" => a.seed = val().parse().expect("--seed"),
-                "--thread-count" => a.thread_count = val().parse().expect("--thread-count"),
                 "--crash" => a.crash = true,
                 "--no-wall" => a.wall = false,
                 "--out" => a.out = val(),
                 _ => {} // same convention as the other experiments
             }
         }
-        assert!(!a.seeds.is_empty() && !a.threads.is_empty() && a.machines >= 3);
+        assert!(!a.seeds.is_empty() && a.machines >= 3);
         a
     }
 }
@@ -219,10 +207,9 @@ fn crash_plan(_seed: u64) -> FaultPlan {
     plan
 }
 
-fn build(args: &Args, seed: u64, threads: usize, crash: bool) -> Bench {
+fn build(args: &Args, seed: u64, crash: bool) -> Bench {
     let mut setup = build_rack_kvs_with_policy(
         FabricConfig {
-            threads,
             fault_plan: crash.then(|| crash_plan(seed)),
             ..FabricConfig::default()
         },
@@ -266,7 +253,6 @@ fn build(args: &Args, seed: u64, threads: usize, crash: bool) -> Bench {
 
 struct Cell {
     seed: u64,
-    threads: usize,
     crash: bool,
     ckpt_bytes: usize,
     ckpt_sections: usize,
@@ -290,13 +276,12 @@ impl Cell {
         };
         format!(
             concat!(
-                "{{\"seed\": {}, \"threads\": {}, \"crash\": {}, ",
+                "{{\"seed\": {}, \"crash\": {}, ",
                 "\"ckpt_bytes\": {}, \"ckpt_sections\": {}, \"ckpt_events\": {}, ",
                 "{}\"restore_replay_events\": {}, \"total_events\": {}, ",
                 "\"virtual_ns\": {}, \"lost_acked_keys\": {}, \"digest\": \"{}\"}}"
             ),
             self.seed,
-            self.threads,
             self.crash,
             self.ckpt_bytes,
             self.ckpt_sections,
@@ -314,9 +299,9 @@ impl Cell {
 /// One matrix cell: reference run with a mid-run checkpoint, then a fresh
 /// rack restored from that checkpoint; both continue to completion and
 /// must land on the same digest.
-fn run_cell(args: &Args, seed: u64, threads: usize, crash: bool) -> (Cell, Checkpoint) {
+fn run_cell(args: &Args, seed: u64, crash: bool) -> (Cell, Checkpoint) {
     // --- Reference run (never interrupted) ------------------------------
-    let mut a = build(args, seed, threads, crash);
+    let mut a = build(args, seed, crash);
     a.setup.fabric.power_on();
     let mut total_events = a
         .setup
@@ -345,13 +330,13 @@ fn run_cell(args: &Args, seed: u64, threads: usize, crash: bool) -> (Cell, Check
     if crash && args.replication >= 2 {
         assert_eq!(
             lost, 0,
-            "acked writes lost despite R={} (seed {seed:#x}, threads {threads})",
+            "acked writes lost despite R={} (seed {seed:#x})",
             args.replication
         );
     }
 
     // --- Restored run (fresh rack, replay + verify, continue) -----------
-    let mut b = build(args, seed, threads, crash);
+    let mut b = build(args, seed, crash);
     b.setup.fabric.power_on();
     let t1 = std::time::Instant::now();
     b.setup
@@ -365,12 +350,11 @@ fn run_cell(args: &Args, seed: u64, threads: usize, crash: bool) -> (Cell, Check
     assert_eq!(
         d_a, d_b,
         "restored run diverged from uninterrupted run \
-         (seed {seed:#x}, threads {threads}, crash {crash})"
+         (seed {seed:#x}, crash {crash})"
     );
 
     let cell = Cell {
         seed,
-        threads,
         crash,
         ckpt_bytes: encoded.len(),
         ckpt_sections: ck.section_count(),
@@ -391,7 +375,7 @@ fn run_cell(args: &Args, seed: u64, threads: usize, crash: bool) -> (Cell, Check
 fn run_restore_child(args: &Args) -> ! {
     let path = args.restore_from.as_deref().unwrap();
     let ck = Checkpoint::read_file(path).expect("read checkpoint file");
-    let mut b = build(args, args.seed, args.thread_count, args.crash);
+    let mut b = build(args, args.seed, args.crash);
     b.setup.fabric.power_on();
     b.setup
         .fabric
@@ -429,8 +413,6 @@ fn cross_process_audit(args: &Args, seed: u64, ck: &Checkpoint, want_digest: &st
             &path,
             "--seed",
             &seed.to_string(),
-            "--thread-count",
-            "1",
             "--crash",
             "--machines",
             &args.machines.to_string(),
@@ -477,30 +459,27 @@ fn main() {
 
     println!("E14: checkpoint/restore — snapshot mid-run, restore, continue byte-identically");
     println!(
-        "    ({} machines, R={}, {} ops/client, checkpoint at {} us, seeds {:x?}, threads {:?})",
-        args.machines, args.replication, args.ops, args.ckpt_at_us, args.seeds, args.threads
+        "    ({} machines, R={}, {} ops/client, checkpoint at {} us, seeds {:x?})",
+        args.machines, args.replication, args.ops, args.ckpt_at_us, args.seeds
     );
     println!();
 
     let mut cells: Vec<Cell> = Vec::new();
     let mut audit_ck: Option<(u64, Checkpoint, String)> = None;
     for &seed in &args.seeds {
-        for &threads in &args.threads {
-            for crash in [false, true] {
-                let (cell, ck) = run_cell(&args, seed, threads, crash);
-                // The crash-arm single-thread checkpoint of the first seed
-                // feeds the cross-process audit.
-                if crash && threads == 1 && audit_ck.is_none() {
-                    audit_ck = Some((seed, ck, cell.digest.clone()));
-                }
-                cells.push(cell);
+        for crash in [false, true] {
+            let (cell, ck) = run_cell(&args, seed, crash);
+            // The crash-arm checkpoint of the first seed feeds the
+            // cross-process audit.
+            if crash && audit_ck.is_none() {
+                audit_ck = Some((seed, ck, cell.digest.clone()));
             }
+            cells.push(cell);
         }
     }
 
     let mut t = Table::new(&[
         "seed",
-        "thr",
         "crash",
         "ckpt KiB",
         "sections",
@@ -512,7 +491,6 @@ fn main() {
     for c in &cells {
         t.row_strings(vec![
             format!("{:#x}", c.seed),
-            c.threads.to_string(),
             c.crash.to_string(),
             format!("{:.1}", c.ckpt_bytes as f64 / 1024.0),
             c.ckpt_sections.to_string(),
@@ -529,25 +507,6 @@ fn main() {
         cells.len()
     );
 
-    // Thread counts must also agree with each other per (seed, crash) —
-    // the checkpoint path must not perturb the E13 determinism contract.
-    for &seed in &args.seeds {
-        for crash in [false, true] {
-            let ds: Vec<&String> = cells
-                .iter()
-                .filter(|c| c.seed == seed && c.crash == crash)
-                .map(|c| &c.digest)
-                .collect();
-            for d in &ds[1..] {
-                assert_eq!(
-                    *d, ds[0],
-                    "thread counts diverged for seed {seed:#x} crash {crash}"
-                );
-            }
-        }
-    }
-    println!("thread-identity: digests agree across thread counts for every (seed, fault) pair");
-
     let (audit_seed, audit_ck, audit_digest) = audit_ck.expect("crash arm ran");
     let audit_ok = cross_process_audit(&args, audit_seed, &audit_ck, &audit_digest);
     println!(
@@ -559,13 +518,12 @@ fn main() {
         }
     );
 
-    let mut body = String::from("{\n  \"experiment\": \"e14\",\n  \"schema_version\": 1,\n");
+    let mut body = String::from("{\n  \"experiment\": \"e14\",\n  \"schema_version\": 2,\n");
     body.push_str(&format!(
         concat!(
             "  \"config\": {{\"machines\": {}, \"replication\": {}, ",
             "\"ops_per_client\": {}, \"keys\": {}, \"value_size\": {}, ",
-            "\"outstanding\": {}, \"ckpt_at_us\": {}, \"seeds\": {:?}, ",
-            "\"threads\": {:?}}},\n"
+            "\"outstanding\": {}, \"ckpt_at_us\": {}, \"seeds\": {:?}}},\n"
         ),
         args.machines,
         args.replication,
@@ -574,8 +532,7 @@ fn main() {
         args.value_size,
         args.outstanding,
         args.ckpt_at_us,
-        args.seeds,
-        args.threads
+        args.seeds
     ));
     body.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {

@@ -6,22 +6,21 @@
 //! simulated machine we can afford (sweep sizes, fleet sizes, fault-matrix
 //! seeds) and is the metric the hot-path work in this crate is judged by.
 //!
-//! Two phases, both run per engine (`--engine wheel|heap|both`):
+//! Two phases:
 //!
 //! - **queue** — the event queue in isolation: a deep steady-state churn
-//!   (pop one, schedule one) at a fixed pending-set depth. This isolates the
-//!   engine data structure the `--engine` flag selects: the hierarchical
-//!   timing wheel vs the reference binary heap.
-//! - **system** — a saturating end-to-end workload: the §3 KVS on the
-//!   CPU-less deployment (smart NIC + SSD + memory controller), many closed
-//!   loops deep, run for a fixed slice of virtual time. Queue operations
-//!   are only part of each event here, so the engine gap is diluted by real
-//!   device work; both numbers are reported for exactly that reason.
+//!   (pop one, schedule one) at a fixed pending-set depth. It runs on the
+//!   simulator's timing wheel ([`EventQueue`]) and on the reference binary
+//!   heap ([`HeapQueue`]), which isolates the data structure.
+//! - **system** — a saturating end-to-end workload on the wheel: the §3 KVS
+//!   on the CPU-less deployment (smart NIC + SSD + memory controller), many
+//!   closed loops deep, run for a fixed slice of virtual time. Queue
+//!   operations are only part of each event here.
 //!
 //! Writes `BENCH_e9.json` (override with `--out`); schema in
 //! `EXPERIMENTS.md`. The JSON carries events/sec, ns/event and
-//! allocations/event per phase per engine, plus wheel-over-heap speedups
-//! when both engines run.
+//! allocations/event per phase per engine, plus the wheel-over-heap
+//! queue-churn speedup.
 //!
 //! With `--profile` the run also prints a per-scope allocation attribution
 //! table (which `subsystem.site` the allocations/event figure comes from);
@@ -38,7 +37,7 @@ use lastcpu_core::SystemConfig;
 use lastcpu_kvs::build_cpuless_kvs;
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::server::ServerConfig;
-use lastcpu_sim::{export, profile, DetRng, EventQueue, QueueEngine, SimDuration};
+use lastcpu_sim::{export, profile, DetRng, EventQueue, HeapQueue, SimDuration};
 
 /// Counting allocator: allocations/event is a first-class metric here —
 /// the zero-copy envelope and buffer-reuse work shows up in this number.
@@ -115,7 +114,6 @@ impl Sample {
 }
 
 struct Args {
-    engines: Vec<QueueEngine>,
     out: String,
     queue_depth: usize,
     queue_ops: u64,
@@ -128,7 +126,6 @@ struct Args {
 impl Args {
     fn parse() -> Args {
         let mut a = Args {
-            engines: vec![QueueEngine::Wheel, QueueEngine::Heap],
             out: "BENCH_e9.json".into(),
             queue_depth: 65_536,
             queue_ops: 4_000_000,
@@ -141,15 +138,6 @@ impl Args {
         while let Some(flag) = it.next() {
             let mut val = || it.next().unwrap_or_default();
             match flag.as_str() {
-                "--engine" => {
-                    let v = val();
-                    a.engines =
-                        match v.as_str() {
-                            "both" => vec![QueueEngine::Wheel, QueueEngine::Heap],
-                            s => vec![QueueEngine::parse(s)
-                                .unwrap_or_else(|| panic!("unknown engine {s:?}"))],
-                        };
-                }
                 "--out" => a.out = val(),
                 "--queue-depth" => a.queue_depth = val().parse().expect("--queue-depth"),
                 "--queue-ops" => a.queue_ops = val().parse().expect("--queue-ops"),
@@ -169,9 +157,15 @@ impl Args {
 /// offset. The delay mix follows what the system actually schedules —
 /// mostly near-future (bus hops, device service times), a tail of far
 /// horizon timers — so both the wheel's slot array and its overflow heap
-/// participate.
-fn run_queue_phase(engine: QueueEngine, depth: usize, ops: u64) -> Sample {
-    let mut q: EventQueue<u64> = EventQueue::with_engine(engine);
+/// participate. `schedule_in` and `pop` are the queue's own methods, so one
+/// loop drives the wheel and the reference heap alike.
+fn run_queue_phase<Q>(
+    q: &mut Q,
+    schedule_in: fn(&mut Q, SimDuration, u64),
+    pop: fn(&mut Q) -> Option<u64>,
+    depth: usize,
+    ops: u64,
+) -> Sample {
     let mut rng = DetRng::new(0xE9);
     let next_delay = |rng: &mut DetRng| {
         // 75% short (bus/device latencies), 20% medium (timeouts),
@@ -185,21 +179,20 @@ fn run_queue_phase(engine: QueueEngine, depth: usize, ops: u64) -> Sample {
     };
     for i in 0..depth as u64 {
         let d = next_delay(&mut rng);
-        q.schedule_in(d, i);
+        schedule_in(q, d, i);
     }
     let allocs0 = allocs_now();
     let t0 = Instant::now();
     let mut acc = 0u64;
     for i in 0..ops {
-        let ev = q.pop().expect("queue kept at constant depth");
-        acc = acc.wrapping_add(ev.event);
+        let ev = pop(q).expect("queue kept at constant depth");
+        acc = acc.wrapping_add(ev);
         let d = next_delay(&mut rng);
-        q.schedule_in(d, i);
+        schedule_in(q, d, i);
     }
     let wall = t0.elapsed().as_secs_f64();
     let allocs = allocs_now() - allocs0;
     std::hint::black_box(acc);
-    assert_eq!(q.events_processed(), ops);
     Sample {
         events: ops,
         wall_seconds: wall,
@@ -211,16 +204,9 @@ fn run_queue_phase(engine: QueueEngine, depth: usize, ops: u64) -> Sample {
 /// closed loops that the engine never idles, run for a fixed slice of
 /// virtual time. Events/sec here is the whole simulator — queue, bus
 /// routing, DMA, devices — per wall-clock second.
-fn run_system_phase(
-    engine: QueueEngine,
-    clients: usize,
-    outstanding: usize,
-    vms: u64,
-    obs: &ObsArgs,
-) -> Sample {
+fn run_system_phase(clients: usize, outstanding: usize, vms: u64, obs: &ObsArgs) -> Sample {
     let mut sys_config = SystemConfig {
         trace: false,
-        queue_engine: engine,
         ..SystemConfig::default()
     };
     obs.apply(&mut sys_config);
@@ -290,44 +276,55 @@ fn main() {
             a
         }
     };
-    let mut results: Vec<(QueueEngine, Sample, Sample)> = Vec::new();
+    let wheel_queue = || {
+        let mut q = EventQueue::new();
+        let s = run_queue_phase(
+            &mut q,
+            EventQueue::schedule_in,
+            |q| q.pop().map(|e| e.event),
+            args.queue_depth,
+            args.queue_ops,
+        );
+        assert_eq!(q.events_processed(), args.queue_ops);
+        s
+    };
+    let heap_queue = || {
+        let mut q = HeapQueue::new();
+        let s = run_queue_phase(
+            &mut q,
+            HeapQueue::schedule_in,
+            |q| q.pop().map(|e| e.event),
+            args.queue_depth,
+            args.queue_ops,
+        );
+        assert_eq!(q.events_processed(), args.queue_ops);
+        s
+    };
+    let system_phase = || run_system_phase(args.clients, args.outstanding, args.virtual_ms, &obs);
+    let (mut wq, mut hq, mut ws) = (wheel_queue(), heap_queue(), system_phase());
     // Every run counts toward the profiler's attribution denominator, kept
     // or not — the profiler accumulates across the whole process.
-    let mut total_events: u64 = 0;
-    for &engine in &args.engines {
-        let mut queue = run_queue_phase(engine, args.queue_depth, args.queue_ops);
-        let mut system = run_system_phase(
-            engine,
-            args.clients,
-            args.outstanding,
-            args.virtual_ms,
-            &obs,
-        );
-        total_events += queue.events + system.events;
-        for _ in 1..args.repeat {
-            let q = run_queue_phase(engine, args.queue_depth, args.queue_ops);
-            let s = run_system_phase(
-                engine,
-                args.clients,
-                args.outstanding,
-                args.virtual_ms,
-                &obs,
-            );
-            total_events += q.events + s.events;
-            queue = best(queue, q);
-            system = best(system, s);
-        }
-        for (phase, s) in [("queue", &queue), ("system", &system)] {
-            t.row_strings(vec![
-                phase.into(),
-                engine.name().into(),
-                s.events.to_string(),
-                format!("{:.0}", s.events_per_sec()),
-                format!("{:.1}", s.ns_per_event()),
-                format!("{:.3}", s.allocs_per_event()),
-            ]);
-        }
-        results.push((engine, queue, system));
+    let mut total_events: u64 = wq.events + hq.events + ws.events;
+    for _ in 1..args.repeat {
+        let (w, h, sys) = (wheel_queue(), heap_queue(), system_phase());
+        total_events += w.events + h.events + sys.events;
+        wq = best(wq, w);
+        hq = best(hq, h);
+        ws = best(ws, sys);
+    }
+    for (phase, engine, s) in [
+        ("queue", "wheel", &wq),
+        ("system", "wheel", &ws),
+        ("queue", "heap", &hq),
+    ] {
+        t.row_strings(vec![
+            phase.into(),
+            engine.into(),
+            s.events.to_string(),
+            format!("{:.0}", s.events_per_sec()),
+            format!("{:.1}", s.ns_per_event()),
+            format!("{:.3}", s.allocs_per_event()),
+        ]);
     }
     t.print();
 
@@ -374,51 +371,34 @@ fn main() {
         }
     }
 
-    let speedups = match (
-        results.iter().find(|(e, _, _)| *e == QueueEngine::Wheel),
-        results.iter().find(|(e, _, _)| *e == QueueEngine::Heap),
-    ) {
-        (Some((_, wq, ws)), Some((_, hq, hs))) => {
-            let q = wq.events_per_sec() / hq.events_per_sec();
-            let s = ws.events_per_sec() / hs.events_per_sec();
-            println!();
-            println!("wheel over heap: {q:.2}x queue churn, {s:.2}x end-to-end");
-            Some((q, s))
-        }
-        _ => None,
-    };
+    let speedup = wq.events_per_sec() / hq.events_per_sec();
+    println!();
+    println!("wheel over heap: {speedup:.2}x queue churn");
 
-    let mut body = String::from("{\n  \"experiment\": \"e9\",\n  \"schema_version\": 2,\n");
+    let mut body = String::from("{\n  \"experiment\": \"e9\",\n  \"schema_version\": 3,\n");
     body.push_str(&format!(
         "  \"config\": {{\"queue_depth\": {}, \"queue_ops\": {}, \"clients\": {}, \"outstanding\": {}, \"virtual_ms\": {}, \"repeat\": {}}},\n",
         args.queue_depth, args.queue_ops, args.clients, args.outstanding, args.virtual_ms, args.repeat
     ));
-    body.push_str("  \"engines\": {\n");
-    for (i, (engine, queue, system)) in results.iter().enumerate() {
-        // E9 is a single-machine experiment; `threads` records the fabric
-        // worker count the schema shares with E10/E13 (always 1 here) so
-        // `bench_diff` can key cells uniformly across experiments.
-        body.push_str(&format!(
-            "    \"{}\": {{\"threads\": 1, \"queue\": {}, \"system\": {}}}{}\n",
-            engine.name(),
-            queue.json(),
-            system.json(),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  }");
-    if let Some((q, s)) = speedups {
-        body.push_str(&format!(
-            ",\n  \"wheel_over_heap\": {{\"queue\": {q:.3}, \"system\": {s:.3}}}"
-        ));
-    }
-    body.push_str("\n}\n");
+    body.push_str(&format!(
+        concat!(
+            "  \"engines\": {{\n",
+            "    \"wheel\": {{\"queue\": {}, \"system\": {}}},\n",
+            "    \"heap\": {{\"queue\": {}}}\n",
+            "  }},\n",
+            "  \"wheel_over_heap\": {{\"queue\": {:.3}}}\n}}\n"
+        ),
+        wq.json(),
+        ws.json(),
+        hq.json(),
+        speedup
+    ));
     match std::fs::write(&args.out, &body) {
         Ok(()) => println!("\nwrote {}", args.out),
         Err(e) => eprintln!("\nfailed to write {}: {e}", args.out),
     }
     println!();
     println!("expected shape: the queue-churn gap is the engine itself (O(1) wheel");
-    println!("slots vs O(log n) heap sift at depth); the end-to-end gap is smaller");
-    println!("because each event also pays for routing, DMA and device work.");
+    println!("slots vs O(log n) heap sift at depth); the system phase spends most");
+    println!("of each event on routing, DMA and device work instead.");
 }

@@ -21,6 +21,8 @@
 //! driver devices the experiments need (setup clients, doorbell pingers,
 //! control-storm generators, allocation churners, DMA probes).
 
+#![forbid(unsafe_code)]
+
 pub mod drivers;
 pub mod json;
 pub mod obs;

@@ -289,17 +289,6 @@ impl PrivOpKind {
             PrivOpKind::Control => 3,
         });
     }
-
-    /// Inverse of [`PrivOpKind::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => PrivOpKind::RegisterController,
-            1 => PrivOpKind::MapInstruction,
-            2 => PrivOpKind::Announce,
-            3 => PrivOpKind::Control,
-            t => return Err(r.corrupt(format!("bad PrivOpKind tag {t}"))),
-        })
-    }
 }
 
 impl BusVerdict {
@@ -310,16 +299,6 @@ impl BusVerdict {
             BusVerdict::Denied => 1,
             BusVerdict::RateLimited => 2,
         });
-    }
-
-    /// Inverse of [`BusVerdict::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => BusVerdict::Allowed,
-            1 => BusVerdict::Denied,
-            2 => BusVerdict::RateLimited,
-            t => return Err(r.corrupt(format!("bad BusVerdict tag {t}"))),
-        })
     }
 }
 
@@ -336,20 +315,6 @@ impl DenyReason {
             DenyReason::FloodLimited => 6,
         });
     }
-
-    /// Inverse of [`DenyReason::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => DenyReason::NotController,
-            1 => DenyReason::ResourceNotMemory,
-            2 => DenyReason::ControllerTaken,
-            3 => DenyReason::TargetNotFound,
-            4 => DenyReason::BadRequest,
-            5 => DenyReason::ShadowAnnounce,
-            6 => DenyReason::FloodLimited,
-            t => return Err(r.corrupt(format!("bad DenyReason tag {t}"))),
-        })
-    }
 }
 
 impl BusAuditRecord {
@@ -363,22 +328,6 @@ impl BusAuditRecord {
         w.put_opt(self.target.as_ref(), |w, d| w.put_u32(d.0));
         self.verdict.encode(w);
         w.put_opt(self.reason.as_ref(), |w, x| x.encode(w));
-    }
-
-    /// Inverse of [`BusAuditRecord::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(BusAuditRecord {
-            src: DeviceId(r.u32()?),
-            op: PrivOpKind::decode(r)?,
-            resource: r.opt(|r| {
-                let t = r.u8()?;
-                crate::message::resource_kind_from_tag(t)
-                    .ok_or_else(|| r.corrupt(format!("bad ResourceKind tag {t}")))
-            })?,
-            target: r.opt(|r| Ok(DeviceId(r.u32()?)))?,
-            verdict: BusVerdict::decode(r)?,
-            reason: r.opt(DenyReason::decode)?,
-        })
     }
 }
 
@@ -399,42 +348,11 @@ impl lastcpu_snap::Snapshot for BusAudit {
     }
 }
 
-impl lastcpu_snap::Restore for BusAudit {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.allowed = r.u64()?;
-        self.denied = r.u64()?;
-        self.rate_limited = r.u64()?;
-        self.pending_allowed = r.u64()?;
-        self.pending_denied = r.u64()?;
-        self.pending_rate_limited = r.u64()?;
-        self.dropped = r.u64()?;
-        self.cap = r.u64()? as usize;
-        let n = r.len()?;
-        if n > self.cap {
-            return Err(r.corrupt("audit log exceeds its capacity"));
-        }
-        self.log = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.log.push(BusAuditRecord::decode(r)?);
-        }
-        Ok(())
-    }
-}
-
 impl SecurityPolicy {
     /// Serializes into a snapshot section.
     pub fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
         w.put_bool(self.deny_shadow_announce);
         w.put_opt(self.flood_limit.as_ref(), |w, v| w.put_u32(*v));
         w.put_u64(self.flood_window.as_nanos());
-    }
-
-    /// Inverse of [`SecurityPolicy::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(SecurityPolicy {
-            deny_shadow_announce: r.bool()?,
-            flood_limit: r.opt(|r| r.u32())?,
-            flood_window: SimDuration::from_nanos(r.u64()?),
-        })
     }
 }

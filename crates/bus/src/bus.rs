@@ -945,12 +945,6 @@ fn encode_service_desc_snap(w: &mut lastcpu_snap::SnapWriter, s: &ServiceDesc) {
     s.snap_encode(w);
 }
 
-fn decode_service_desc_snap(
-    r: &mut lastcpu_snap::SnapReader<'_>,
-) -> lastcpu_snap::Result<ServiceDesc> {
-    ServiceDesc::snap_decode(r)
-}
-
 fn device_state_tag(s: DeviceState) -> u8 {
     match s {
         DeviceState::Attached => 0,
@@ -958,16 +952,6 @@ fn device_state_tag(s: DeviceState) -> u8 {
         DeviceState::Failed => 2,
         DeviceState::Departed => 3,
     }
-}
-
-fn device_state_from_tag(t: u8) -> Option<DeviceState> {
-    Some(match t {
-        0 => DeviceState::Attached,
-        1 => DeviceState::Alive,
-        2 => DeviceState::Failed,
-        3 => DeviceState::Departed,
-        _ => return None,
-    })
 }
 
 impl lastcpu_snap::Snapshot for SystemBus {
@@ -1032,82 +1016,6 @@ impl lastcpu_snap::Snapshot for SystemBus {
             w.put_u32(n);
         }
         w.put_opt(self.audit.as_ref(), |w, a| a.snapshot(w));
-    }
-}
-
-impl lastcpu_snap::Restore for SystemBus {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.cost.hop_latency = SimDuration::from_nanos(r.u64()?);
-        self.cost.processing = SimDuration::from_nanos(r.u64()?);
-        self.cost.per_byte_ps = r.u64()?;
-        self.heartbeat_timeout = SimDuration::from_nanos(r.u64()?);
-        self.next_id = r.u32()?;
-        self.cur_corr = CorrId(r.u64()?);
-        self.stats.messages = r.u64()?;
-        self.stats.bytes = r.u64()?;
-        self.stats.unicasts = r.u64()?;
-        self.stats.broadcast_deliveries = r.u64()?;
-        self.stats.map_ops = r.u64()?;
-        self.stats.denials = r.u64()?;
-        self.stats.flood_dropped = r.u64()?;
-        self.stats.failures = r.u64()?;
-        let n = r.len()?;
-        self.order = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.order.push(DeviceId(r.u32()?));
-        }
-        let n = r.len()?;
-        self.devices = DetHashMap::default();
-        for _ in 0..n {
-            let id = DeviceId(r.u32()?);
-            let name = r.str()?;
-            let kind = r.str()?;
-            let state = {
-                let t = r.u8()?;
-                device_state_from_tag(t)
-                    .ok_or_else(|| r.corrupt(format!("bad DeviceState tag {t}")))?
-            };
-            let last_seen = SimTime::from_nanos(r.u64()?);
-            let ns = r.len()?;
-            let mut services = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                services.push(decode_service_desc_snap(r)?);
-            }
-            self.devices.insert(
-                id,
-                DeviceEntry {
-                    id,
-                    name,
-                    kind,
-                    state,
-                    last_seen,
-                    services,
-                },
-            );
-        }
-        let n = r.len()?;
-        self.controllers = DetHashMap::default();
-        for _ in 0..n {
-            let t = r.u8()?;
-            let kind = crate::message::resource_kind_from_tag(t)
-                .ok_or_else(|| r.corrupt(format!("bad ResourceKind tag {t}")))?;
-            self.controllers.insert(kind, DeviceId(r.u32()?));
-        }
-        self.policy = SecurityPolicy::decode(r)?;
-        let n = r.len()?;
-        self.flood = DetHashMap::default();
-        for _ in 0..n {
-            let d = DeviceId(r.u32()?);
-            let t = SimTime::from_nanos(r.u64()?);
-            let c = r.u32()?;
-            self.flood.insert(d, (t, c));
-        }
-        self.audit = r.opt(|r| {
-            let mut a = BusAudit::default();
-            a.restore(r)?;
-            Ok(a)
-        })?;
-        Ok(())
     }
 }
 

@@ -1003,36 +1003,12 @@ pub(crate) fn resource_kind_tag(k: ResourceKind) -> u8 {
     }
 }
 
-/// Inverse of [`resource_kind_tag`].
-pub(crate) fn resource_kind_from_tag(t: u8) -> Option<ResourceKind> {
-    Some(match t {
-        0 => ResourceKind::Memory,
-        1 => ResourceKind::Storage,
-        2 => ResourceKind::Network,
-        3 => ResourceKind::Compute,
-        _ => return None,
-    })
-}
-
 impl ServiceDesc {
     /// Serializes into a snapshot section.
     pub fn snap_encode(&self, w: &mut lastcpu_snap::SnapWriter) {
         w.put_u16(self.id.0);
         w.put_str(&self.name);
         w.put_u8(resource_kind_tag(self.resource));
-    }
-
-    /// Inverse of [`ServiceDesc::snap_encode`].
-    pub fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(ServiceDesc {
-            id: ServiceId(r.u16()?),
-            name: r.str()?,
-            resource: {
-                let t = r.u8()?;
-                resource_kind_from_tag(t)
-                    .ok_or_else(|| r.corrupt(format!("bad ResourceKind tag {t}")))?
-            },
-        })
     }
 }
 
@@ -1048,20 +1024,6 @@ impl Status {
             Status::BadRequest => 5,
             Status::Failed => 6,
         });
-    }
-
-    /// Inverse of [`Status::snap_encode`].
-    pub fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => Status::Ok,
-            1 => Status::Denied,
-            2 => Status::NotFound,
-            3 => Status::NoResources,
-            4 => Status::Busy,
-            5 => Status::BadRequest,
-            6 => Status::Failed,
-            t => return Err(r.corrupt(format!("bad Status tag {t}"))),
-        })
     }
 }
 

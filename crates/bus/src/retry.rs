@@ -329,37 +329,6 @@ impl lastcpu_snap::Snapshot for RpcTracker {
     }
 }
 
-impl lastcpu_snap::Restore for RpcTracker {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.config.timeout = SimDuration::from_nanos(r.u64()?);
-        self.config.backoff.base = SimDuration::from_nanos(r.u64()?);
-        self.config.backoff.cap = SimDuration::from_nanos(r.u64()?);
-        self.config.backoff.max_retries = r.u32()?;
-        self.config.backoff.jitter_pct = r.u32()?;
-        self.stats.tracked = r.u64()?;
-        self.stats.completed = r.u64()?;
-        self.stats.retries = r.u64()?;
-        self.stats.give_ups = r.u64()?;
-        self.stats.recovered = r.u64()?;
-        let n = r.len()?;
-        self.pending = DetHashMap::default();
-        for _ in 0..n {
-            let key = (DeviceId(r.u32()?), RequestId(r.u64()?));
-            let body = r.bytes()?;
-            let env = Envelope::decode(&body)
-                .map_err(|e| r.corrupt(format!("pending rpc envelope: {e}")))?;
-            let p = PendingRpc {
-                env,
-                first_sent: SimTime::from_nanos(r.u64()?),
-                retries: r.u32()?,
-                deadline: SimTime::from_nanos(r.u64()?),
-            };
-            self.pending.insert(key, p);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -181,6 +181,14 @@ pub trait NetHost: std::any::Any {
     }
 
     /// Loads state written by [`NetHost::snapshot_state`] back in place.
+    ///
+    /// No host in this workspace implements it: checkpoints restore by
+    /// replay and verification ([`System::restore_from`]), never by
+    /// decoding state. The hook stays, with its loud default and this
+    /// signature, because the benchmark package in `perfbench/` forwards
+    /// it from its client wrapper.
+    ///
+    /// [`System::restore_from`]: crate::System::restore_from
     fn restore_state(&mut self, _r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
         Err(lastcpu_snap::SnapError::Unsupported(format!(
             "host {:?}",

@@ -61,12 +61,6 @@ impl Device for MemCtlDevice {
         Ok(())
     }
 
-    fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.heartbeat = SimDuration::from_nanos(r.u64()?);
-        lastcpu_snap::Restore::restore(&mut self.ctl, r)
-    }
-
     fn name(&self) -> &str {
         &self.name
     }

@@ -422,7 +422,7 @@ impl System {
             sweep_at: None,
         });
         System {
-            queue: EventQueue::with_engine(config.queue_engine),
+            queue: EventQueue::new(),
             bus,
             dram: Dram::new(config.dram_bytes),
             slots: Vec::new(),

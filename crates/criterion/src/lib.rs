@@ -10,6 +10,8 @@
 //! number of timed samples — but the measurement loop is real, so relative
 //! comparisons (e.g. tracing enabled vs disabled) remain meaningful.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 /// Opaque value barrier preventing the optimizer from deleting benched work.

@@ -159,10 +159,6 @@ impl Device for Accelerator {
         Ok(())
     }
 
-    fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        lastcpu_snap::Restore::restore(self, r)
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -306,37 +302,6 @@ impl lastcpu_snap::Snapshot for Accelerator {
             w.put_u16(fc.regions);
             w.put_u64(fc.jobs_done);
         }
-    }
-}
-
-impl lastcpu_snap::Restore for Accelerator {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.monitor.restore(r)?;
-        self.total_regions = r.u16()?;
-        self.free_regions = r.u16()?;
-        self.mode = match r.u8()? {
-            0 => ShareMode::Spatial,
-            1 => ShareMode::TimeShared,
-            t => return Err(r.corrupt(format!("bad ShareMode tag {t}"))),
-        };
-        self.unit_time = SimDuration::from_nanos(r.u64()?);
-        self.stats.jobs = r.u64()?;
-        self.stats.work_units = r.u64()?;
-        self.stats.rejected = r.u64()?;
-        self.next_job = r.u64()?;
-        let n = r.len()?;
-        self.conns = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let c = ConnId(r.u64()?);
-            let fc = FabricConn {
-                peer: DeviceId(r.u32()?),
-                regions: r.u16()?,
-                jobs_done: r.u64()?,
-            };
-            self.conns.insert(c, fc);
-        }
-        Ok(())
     }
 }
 

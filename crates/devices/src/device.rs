@@ -426,15 +426,6 @@ pub trait Device: std::any::Any {
             self.kind()
         )))
     }
-
-    /// Loads state written by [`Device::snapshot_state`] back in place.
-    fn restore_state(&mut self, _r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        Err(lastcpu_snap::SnapError::Unsupported(format!(
-            "device {:?} (kind {:?})",
-            self.name(),
-            self.kind()
-        )))
-    }
 }
 
 #[cfg(test)]

@@ -282,53 +282,6 @@ impl lastcpu_snap::Snapshot for NandChip {
     }
 }
 
-impl lastcpu_snap::Restore for NandChip {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.config.blocks = r.u32()?;
-        self.config.pages_per_block = r.u32()?;
-        self.config.page_size = r.u32()?;
-        self.config.read_latency = SimDuration::from_nanos(r.u64()?);
-        self.config.program_latency = SimDuration::from_nanos(r.u64()?);
-        self.config.erase_latency = SimDuration::from_nanos(r.u64()?);
-        self.config.max_erase_cycles = r.u32()?;
-        self.stats.reads = r.u64()?;
-        self.stats.programs = r.u64()?;
-        self.stats.erases = r.u64()?;
-        self.stats.bad_blocks = r.u32()?;
-        let n = r.len()?;
-        if n != self.config.blocks as usize {
-            return Err(r.corrupt(format!(
-                "block-state count {n} != configured blocks {}",
-                self.config.blocks
-            )));
-        }
-        self.blocks = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.blocks.push(BlockState {
-                erase_count: r.u32()?,
-                write_ptr: r.u32()?,
-                bad: r.bool()?,
-            });
-        }
-        let n = r.len()?;
-        self.data = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let blk = r.u32()?;
-            let pg = r.u32()?;
-            let body = r.bytes_rle()?;
-            if body.len() != self.config.page_size as usize {
-                return Err(r.corrupt(format!(
-                    "page ({blk},{pg}) body is {} bytes, want {}",
-                    body.len(),
-                    self.config.page_size
-                )));
-            }
-            self.data.insert((blk, pg), body);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -262,30 +262,6 @@ impl lastcpu_snap::Snapshot for FlashFs {
     }
 }
 
-impl lastcpu_snap::Restore for FlashFs {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.ftl.restore(r)?;
-        let n = r.len()?;
-        self.files = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.str()?;
-            let size = r.u64()?;
-            let k = r.len()?;
-            let mut lpns = Vec::with_capacity(k);
-            for _ in 0..k {
-                lpns.push(r.u32()?);
-            }
-            self.files.insert(name, FileMeta { lpns, size });
-        }
-        let n = r.len()?;
-        self.free_lpns = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.free_lpns.push(r.u32()?);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -633,8 +633,8 @@ impl lastcpu_snap::Snapshot for Ftl {
             w.put_u32(*p);
         });
         w.put_opt(self.spare.as_ref(), |w, b| w.put_u32(*b));
-        // rmap is derivable from map, but is serialized so restore needs no
-        // recomputation pass and verify covers it directly.
+        // rmap is derivable from map, but is serialized so verification
+        // covers it directly.
         let mut rmap: Vec<_> = self.rmap.iter().map(|(&(b, p), &l)| (b, p, l)).collect();
         rmap.sort_unstable();
         w.put_len(rmap.len());
@@ -643,49 +643,6 @@ impl lastcpu_snap::Snapshot for Ftl {
             w.put_u32(p);
             w.put_u32(l);
         }
-    }
-}
-
-impl lastcpu_snap::Restore for Ftl {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.nand.restore(r)?;
-        self.logical_pages = r.u32()?;
-        self.stats.host_writes = r.u64()?;
-        self.stats.nand_writes = r.u64()?;
-        self.stats.gc_runs = r.u64()?;
-        self.stats.gc_moved_pages = r.u64()?;
-        self.stats.retired_blocks = r.u64()?;
-        self.stats.retry_exhausted = r.u64()?;
-        self.retry.base = SimDuration::from_nanos(r.u64()?);
-        self.retry.cap = SimDuration::from_nanos(r.u64()?);
-        self.retry.max_retries = r.u32()?;
-        self.retry.jitter_pct = r.u32()?;
-        let n = r.len()?;
-        self.map = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.map.push(r.opt(|r| Ok((r.u32()?, r.u32()?)))?);
-        }
-        let n = r.len()?;
-        self.valid = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.valid.push(r.u32()?);
-        }
-        let n = r.len()?;
-        self.free_blocks = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.free_blocks.push(r.u32()?);
-        }
-        self.active = r.opt(|r| Ok((r.u32()?, r.u32()?)))?;
-        self.spare = r.opt(|r| r.u32())?;
-        let n = r.len()?;
-        self.rmap = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let b = r.u32()?;
-            let p = r.u32()?;
-            let l = r.u32()?;
-            self.rmap.insert((b, p), l);
-        }
-        Ok(())
     }
 }
 

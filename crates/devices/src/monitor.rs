@@ -865,23 +865,6 @@ impl AuthMode {
             }
         }
     }
-
-    /// Inverse of [`AuthMode::snap_encode`].
-    pub fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => AuthMode::Open,
-            1 => {
-                let n = r.len()?;
-                let mut set = HashSet::with_capacity(n);
-                for _ in 0..n {
-                    set.insert(Token(r.u128()?));
-                }
-                AuthMode::Local(set)
-            }
-            2 => AuthMode::Sealed { secret: r.u64()? },
-            t => return Err(r.corrupt(format!("bad AuthMode tag {t}"))),
-        })
-    }
 }
 
 impl PendingOp {
@@ -908,33 +891,6 @@ impl PendingOp {
                 w.put_u64(conn.0);
             }
         }
-    }
-
-    fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => {
-                let n = r.len()?;
-                let mut hits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let d = DeviceId(r.u32()?);
-                    hits.push((d, ServiceDesc::snap_decode(r)?));
-                }
-                PendingOp::Discover {
-                    hits,
-                    req: RequestId(r.u64()?),
-                }
-            }
-            1 => PendingOp::Open {
-                target: DeviceId(r.u32()?),
-            },
-            2 => PendingOp::Alloc,
-            3 => PendingOp::Share,
-            4 => PendingOp::Free,
-            5 => PendingOp::Close {
-                conn: ConnId(r.u64()?),
-            },
-            t => return Err(r.corrupt(format!("bad PendingOp tag {t}"))),
-        })
     }
 }
 
@@ -981,56 +937,6 @@ impl lastcpu_snap::Snapshot for Monitor {
         w.put_u64(self.discovery_window.as_nanos());
         w.put_opt(self.heartbeat.as_ref(), |w, h| w.put_u64(h.as_nanos()));
         w.put_bool(self.registered);
-    }
-}
-
-impl lastcpu_snap::Restore for Monitor {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let n = r.len()?;
-        self.services = Vec::with_capacity(n);
-        for _ in 0..n {
-            let svc = ServiceDesc::snap_decode(r)?;
-            let auth = AuthMode::snap_decode(r)?;
-            self.services.push((svc, auth));
-        }
-        let n = r.len()?;
-        self.ops = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = r.u64()?;
-            self.ops.insert(id, PendingOp::snap_decode(r)?);
-        }
-        self.next_op = r.u64()?;
-        let n = r.len()?;
-        self.req_to_op = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let req = RequestId(r.u64()?);
-            let op = r.u64()?;
-            self.req_to_op.insert(req, op);
-        }
-        let n = r.len()?;
-        self.conns = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let conn = ConnId(r.u64()?);
-            let sc = ServerConn {
-                conn,
-                peer: DeviceId(r.u32()?),
-                service: ServiceId(r.u16()?),
-                principal: r.opt(|r| r.u64())?,
-            };
-            self.conns.insert(conn, sc);
-        }
-        self.next_conn = r.u64()?;
-        let n = r.len()?;
-        self.opened = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let c = ConnId(r.u64()?);
-            let d = DeviceId(r.u32()?);
-            self.opened.insert(c, d);
-        }
-        self.discovery_window = SimDuration::from_nanos(r.u64()?);
-        self.heartbeat = r.opt(|r| Ok(SimDuration::from_nanos(r.u64()?)))?;
-        self.registered = r.bool()?;
-        Ok(())
     }
 }
 

@@ -62,14 +62,6 @@ pub trait NicApp {
             self.app_name()
         )))
     }
-
-    /// Loads state written by [`NicApp::snapshot_state`] back in place.
-    fn restore_state(&mut self, _r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        Err(lastcpu_snap::SnapError::Unsupported(format!(
-            "nic app {:?}",
-            self.app_name()
-        )))
-    }
 }
 
 /// A smart NIC hosting application `A`.
@@ -135,14 +127,6 @@ impl<A: NicApp + 'static> Device for SmartNic<A> {
         w.put_bool(self.app_started);
         lastcpu_snap::Snapshot::snapshot(&self.monitor, w);
         self.app.snapshot_state(w)
-    }
-
-    fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.app_version = r.u32()?;
-        self.app_started = r.bool()?;
-        lastcpu_snap::Restore::restore(&mut self.monitor, r)?;
-        self.app.restore_state(r)
     }
 
     fn name(&self) -> &str {
@@ -284,10 +268,6 @@ impl NicApp for EchoApp {
         lastcpu_snap::Snapshot::snapshot(self, w);
         Ok(())
     }
-
-    fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        lastcpu_snap::Restore::restore(self, r)
-    }
 }
 
 impl<A: lastcpu_snap::Snapshot> lastcpu_snap::Snapshot for SmartNic<A> {
@@ -300,26 +280,9 @@ impl<A: lastcpu_snap::Snapshot> lastcpu_snap::Snapshot for SmartNic<A> {
     }
 }
 
-impl<A: lastcpu_snap::Restore> lastcpu_snap::Restore for SmartNic<A> {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.app_version = r.u32()?;
-        self.app_started = r.bool()?;
-        self.monitor.restore(r)?;
-        self.app.restore(r)
-    }
-}
-
 impl lastcpu_snap::Snapshot for EchoApp {
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         w.put_u64(self.frames_echoed);
-    }
-}
-
-impl lastcpu_snap::Restore for EchoApp {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.frames_echoed = r.u64()?;
-        Ok(())
     }
 }
 

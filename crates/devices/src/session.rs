@@ -267,19 +267,6 @@ impl SessionState {
             }
         }
     }
-
-    /// Inverse of [`SessionState::snap_encode`].
-    pub fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => SessionState::Idle,
-            1 => SessionState::Opening,
-            2 => SessionState::Allocating,
-            3 => SessionState::Sharing,
-            4 => SessionState::Ready,
-            5 => SessionState::Failed(Status::snap_decode(r)?),
-            t => return Err(r.corrupt(format!("bad SessionState tag {t}"))),
-        })
-    }
 }
 
 impl lastcpu_snap::Snapshot for FileSession {
@@ -298,30 +285,6 @@ impl lastcpu_snap::Snapshot for FileSession {
         w.put_u64(self.shm_bytes);
         w.put_u64(self.file_size);
         w.put_opt(self.client.as_ref(), |w, c| c.snapshot(w));
-    }
-}
-
-impl lastcpu_snap::Restore for FileSession {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.memctl = DeviceId(r.u32()?);
-        self.target = DeviceId(r.u32()?);
-        self.service = ServiceId(r.u16()?);
-        self.token = Token(r.u128()?);
-        self.pasid = Pasid(r.u32()?);
-        self.va_base = r.u64()?;
-        self.queue_size = r.u16()?;
-        self.state = SessionState::snap_decode(r)?;
-        self.op = r.u64()?;
-        self.conn = ConnId(r.u64()?);
-        self.region = r.u64()?;
-        self.shm_bytes = r.u64()?;
-        self.file_size = r.u64()?;
-        self.client = r.opt(|r| {
-            let mut c = FileClient::placeholder();
-            c.restore(r)?;
-            Ok(c)
-        })?;
-        Ok(())
     }
 }
 

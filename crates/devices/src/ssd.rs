@@ -857,10 +857,6 @@ impl Device for SmartSsd {
         Ok(())
     }
 
-    fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        lastcpu_snap::Restore::restore(self, r)
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -1169,67 +1165,6 @@ impl lastcpu_snap::Snapshot for SmartSsd {
     }
 }
 
-impl lastcpu_snap::Restore for SmartSsd {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.monitor.restore(r)?;
-        self.fs.restore(r)?;
-        self.config.isolation = r.bool()?;
-        self.config.quantum = r.u32()?;
-        let n = r.len()?;
-        self.config.exports = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.config.exports.push(r.str()?);
-        }
-        self.config.file_auth = AuthMode::snap_decode(r)?;
-        self.config.loader_auth = AuthMode::snap_decode(r)?;
-        self.config.per_request_overhead = SimDuration::from_nanos(r.u64()?);
-        let n = r.len()?;
-        self.exported = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let s = ServiceId(r.u16()?);
-            self.exported.insert(s, r.str()?);
-        }
-        self.next_file_svc = r.u16()?;
-        let n = r.len()?;
-        self.conns = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let c = ConnId(r.u64()?);
-            let peer = DeviceId(r.u32()?);
-            let pasid = Pasid(r.u32()?);
-            let file = r.str()?;
-            let queue = r.opt(|r| {
-                let mut q = VirtqueueDevice::attach(QueueLayout::new(0, 1));
-                q.restore(r)?;
-                Ok(q)
-            })?;
-            let served = r.u64()?;
-            self.conns.insert(
-                c,
-                FileConn {
-                    peer,
-                    pasid,
-                    file,
-                    queue,
-                    served,
-                },
-            );
-        }
-        let n = r.len()?;
-        self.work = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            self.work.push_back(ConnId(r.u64()?));
-        }
-        self.poll_armed = r.bool()?;
-        self.stats.requests = r.u64()?;
-        self.stats.bytes_read = r.u64()?;
-        self.stats.bytes_written = r.u64()?;
-        self.stats.conn_resets = r.u64()?;
-        self.stats.images_loaded = r.u64()?;
-        Ok(())
-    }
-}
-
 impl lastcpu_snap::Snapshot for FileClient {
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         self.driver.snapshot(w);
@@ -1243,36 +1178,6 @@ impl lastcpu_snap::Snapshot for FileClient {
             w.put_u64(req_va);
             w.put_u64(resp_va);
             w.put_u32(cap);
-        }
-    }
-}
-
-impl lastcpu_snap::Restore for FileClient {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.driver.restore(r)?;
-        self.arena.restore(r)?;
-        let n = r.len()?;
-        self.inflight = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let h = r.u16()?;
-            let req_va = r.u64()?;
-            let resp_va = r.u64()?;
-            let cap = r.u32()?;
-            self.inflight.insert(h, (req_va, resp_va, cap));
-        }
-        Ok(())
-    }
-}
-
-impl FileClient {
-    /// A client with empty state, intended as the target of a
-    /// [`lastcpu_snap::Restore`]; unusable until restored.
-    pub fn placeholder() -> Self {
-        FileClient {
-            driver: lastcpu_virtio::VirtqueueDriver::detached(),
-            arena: lastcpu_virtio::BufferArena::new(0, CLIENT_SLOT, 1),
-            inflight: HashMap::new(),
-            encode_buf: Vec::new(),
         }
     }
 }

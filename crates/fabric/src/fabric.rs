@@ -23,12 +23,6 @@ pub struct FabricConfig {
     /// currently fully deterministic, but the seed participates in trace
     /// metadata and future jittered links).
     pub seed: u64,
-    /// Number of OS worker threads that step machines inside each
-    /// conservative time window. `1` (the default) runs every machine on
-    /// the calling thread; any value shares the *same* windowed schedule,
-    /// so results — merged traces, metrics, per-machine pool activity —
-    /// are bit-identical across thread counts.
-    pub threads: usize,
     /// Inter-machine link timing. Defaults model 25 GbE wires: 40 ps/B
     /// line rate on every link, 600 ns store-and-forward switch latency,
     /// 2 µs end-to-end propagation.
@@ -52,7 +46,6 @@ impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
             seed: 0xFAB,
-            threads: 1,
             link_cost: NetCostModel {
                 per_byte_ps: 40,
                 switch_latency: SimDuration::from_nanos(600),
@@ -111,9 +104,6 @@ struct MachineSlot {
     /// scratch buffer reused across windows so the steady-state barrier
     /// allocates nothing.
     pending: Vec<TunnelDelivery>,
-    /// Events this machine processed in the last window (filled by the
-    /// worker that stepped it; summed at the barrier).
-    window_steps: u64,
 }
 
 /// A frame that finished crossing an inter-machine link (or a directory
@@ -124,40 +114,23 @@ struct LinkDelivery {
     corr: CorrId,
 }
 
-/// Hands a disjoint chunk of machines to one worker thread for a window.
-///
-/// `MachineSlot` is not `Send`: a machine's `System` holds `Rc`-based
-/// metrics/trace handles, and the slot itself carries handles into the
-/// fabric's hub. Sending is still sound here because (a) each slot is
-/// visited by exactly one worker per window and `&mut` access is exclusive,
-/// (b) a `System`'s `Rc` graph is confined to that machine — `System::new`
-/// builds its own hub and sink, and device handles never cross machines —
-/// and (c) the fabric-hub handles on the slot are neither cloned, dropped,
-/// nor read during a window (they are only touched by `forward`, which runs
-/// serially at barriers while no worker is live; `thread::scope` parks the
-/// owning thread until every worker exits).
-struct SendSlots<'a>(&'a mut [MachineSlot]);
-// SAFETY: see the struct docs — exclusive per-window slot ownership plus
-// machine-confined Rc graphs make the cross-thread move race-free.
-unsafe impl Send for SendSlots<'_> {}
-
-/// Steps one machine through the conservative window `[.., w_end)`, then
-/// drains its tunnel output into its own scratch. Runs on a worker thread
-/// when the fabric is configured with `threads > 1`.
-fn run_machine_window(slot: &mut MachineSlot, w_end: SimTime) {
-    slot.window_steps = 0;
+/// Steps one machine through the window `[.., w_end)`, then drains its
+/// tunnel output into its own scratch. Returns the events stepped.
+fn run_machine_window(slot: &mut MachineSlot, w_end: SimTime) -> u64 {
     if slot.dead {
-        return;
+        return 0;
     }
+    let mut steps = 0;
     while let Some(t) = slot.sys.peek_next_at() {
         if t >= w_end {
             break;
         }
         slot.sys.step();
-        slot.window_steps += 1;
+        steps += 1;
     }
     let MachineSlot { sys, pending, .. } = slot;
     sys.drain_tunnel_into(pending);
+    steps
 }
 
 /// N CPU-less machines co-simulated under one deterministic clock.
@@ -333,7 +306,6 @@ impl Fabric {
             link_bytes,
             link_frames,
             pending: Vec::new(),
-            window_steps: 0,
         });
         MachineId(idx as u32)
     }
@@ -393,13 +365,6 @@ impl Fabric {
         }
     }
 
-    /// Sets the number of worker threads used inside each conservative time
-    /// window (equivalent to [`FabricConfig::threads`]). Any value produces
-    /// bit-identical results; more threads only change wall-clock time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.cfg.threads = threads.max(1);
-    }
-
     /// The built rack topology (graph, per-pair paths, per-link counters).
     /// Before [`power_on`](Self::power_on) this is a zero-machine
     /// placeholder.
@@ -435,7 +400,7 @@ impl Fabric {
     /// pairs — `switch_latency + propagation` for any two-hop path);
     /// directory replies return after `dir_latency`. Machines are mutually
     /// invisible inside any window shorter than this, which is what lets a
-    /// window run them concurrently.
+    /// window step them one after another.
     fn lookahead(&self) -> SimDuration {
         let l = self.topo.min_latency().min(self.cfg.dir_latency);
         assert!(
@@ -455,11 +420,11 @@ impl Fabric {
     /// directory sweep or scheduled fault (which must observe a globally
     /// consistent instant). Within a window every machine is independent —
     /// frames produced inside it cannot be delivered before the window
-    /// ends — so machines step concurrently on
-    /// [`FabricConfig::threads`] workers, then a serial barrier merges
-    /// their tunnel output in `(timestamp, machine, production-order)`
-    /// order and crosses the links. `threads = 1` runs the *same* schedule
-    /// inline, so any thread count replays bit-identically from a seed.
+    /// ends — so each machine steps through the whole window in turn, then
+    /// a barrier merges their tunnel output in
+    /// `(timestamp, machine, production-order)` order and crosses the
+    /// links. The windows define the rack's event order, so a seed replays
+    /// bit-identically.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let lookahead = self.lookahead();
         let mut n = 0u64;
@@ -533,50 +498,21 @@ impl Fabric {
                 n += 1;
             }
 
-            // Step every machine through [t0, w_end) — concurrently when
-            // configured — then merge and forward their tunnel output.
-            n += self.run_window(w_end);
+            // Step every machine through [t0, w_end), then merge and
+            // forward their tunnel output.
+            for slot in &mut self.machines {
+                n += run_machine_window(slot, w_end);
+            }
             self.barrier();
         }
         self.now = self.now.max(deadline);
         n
     }
 
-    /// Steps every machine through its events `< w_end`, on
-    /// [`FabricConfig::threads`] workers, and drains each machine's tunnel
-    /// output into its per-machine scratch. Returns total events stepped.
-    fn run_window(&mut self, w_end: SimTime) -> u64 {
-        let threads = self.cfg.threads.max(1).min(self.machines.len().max(1));
-        if threads <= 1 {
-            for slot in &mut self.machines {
-                run_machine_window(slot, w_end);
-            }
-        } else {
-            let chunk = self.machines.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for part in self.machines.chunks_mut(chunk) {
-                    let part = SendSlots(part);
-                    s.spawn(move || {
-                        // Rebind the whole wrapper: edition-2021 precise
-                        // captures would otherwise capture only the inner
-                        // `&mut [MachineSlot]`, sidestepping the `Send`
-                        // wrapper.
-                        let SendSlots(slots) = { part };
-                        for slot in slots.iter_mut() {
-                            run_machine_window(slot, w_end);
-                        }
-                    });
-                }
-            });
-        }
-        self.machines.iter().map(|s| s.window_steps).sum()
-    }
-
-    /// The serial barrier at a window's edge: merges every machine's tunnel
-    /// output into one deterministic order — by `(timestamp, machine)`,
-    /// stable, so each machine's own production order is preserved — and
-    /// crosses the inter-machine links. Runs with no worker live, so it may
-    /// touch all shared fabric state.
+    /// The barrier at a window's edge: merges every machine's tunnel output
+    /// into one deterministic order — by `(timestamp, machine)`, stable, so
+    /// each machine's own production order is preserved — and crosses the
+    /// inter-machine links.
     fn barrier(&mut self) {
         let mut merged = std::mem::take(&mut self.merge_scratch);
         debug_assert!(merged.is_empty());
@@ -887,17 +823,8 @@ use lastcpu_snap::{Checkpoint, Manifest, SnapError, SnapWriter, Snapshot as _};
 impl Fabric {
     /// Stable fingerprint of the rack recipe: fabric configuration plus
     /// every machine's name and its own builder fingerprint.
-    ///
-    /// `threads` is masked out of the configuration before hashing: the
-    /// windowed schedule guarantees results are bit-identical across
-    /// thread counts, so a checkpoint taken at `threads = 1` must be
-    /// restorable — and byte-comparable — on a `threads = 4` fabric.
     pub fn config_fingerprint(&self) -> u64 {
-        let masked = FabricConfig {
-            threads: 1,
-            ..self.cfg.clone()
-        };
-        let mut h = lastcpu_snap::fnv1a(format!("{masked:?}").as_bytes());
+        let mut h = lastcpu_snap::fnv1a(format!("{:?}", self.cfg).as_bytes());
         for slot in &self.machines {
             lastcpu_snap::fnv1a_fold(&mut h, slot.name.as_bytes());
             lastcpu_snap::fnv1a_fold(&mut h, &slot.sys.config_fingerprint().to_le_bytes());
@@ -979,11 +906,6 @@ impl Fabric {
                 w.put_u32(t.frame.dst.0);
                 w.put_bytes(&t.frame.payload);
             }
-            // `window_steps` is deliberately excluded: it is per-window
-            // scratch for the executor's step accounting, and its value at
-            // a barrier depends on how the window scheduler chunked work —
-            // i.e. on the thread count — not on simulation state. Including
-            // it would break cross-thread-count checkpoint identity.
         }
         w.into_bytes()
     }
@@ -1029,10 +951,17 @@ impl Fabric {
     ///
     /// The rack must be freshly built from the same recipe (checked via
     /// the manifest fingerprint) and powered on. Restore re-executes the
-    /// windowed schedule to the checkpoint's virtual time — bit-identical
-    /// across thread counts by the fabric's determinism contract — then
-    /// verifies every section, including each machine's full checkpoint,
-    /// byte-for-byte. Fails loudly on any divergence.
+    /// windowed schedule with one `run_until` to the checkpoint's virtual
+    /// time, then verifies every section, including each machine's full
+    /// checkpoint, byte-for-byte. Fails loudly on any divergence.
+    ///
+    /// The guarantee is replay of the same recipe *and the same run
+    /// slicing*. Each `run_until` deadline caps a window, so a rack that
+    /// reached the checkpoint through many `run_for` slices can hold a
+    /// different state from one that gets there in a single call, and then
+    /// verification fails. To restore such a checkpoint, replay the
+    /// original slices on the fresh rack first; this call then has nothing
+    /// left to run and only verifies.
     pub fn restore_from(&mut self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
         if ck.manifest.schema_version != lastcpu_snap::SCHEMA_VERSION {
             return Err(SnapError::VersionMismatch {
@@ -1098,14 +1027,7 @@ mod tests {
     }
 
     fn two_machine_ping(seed: u64) -> (SimTime, u64) {
-        two_machine_ping_threads(seed, 1)
-    }
-
-    fn two_machine_ping_threads(seed: u64, threads: usize) -> (SimTime, u64) {
-        let mut fab = Fabric::new(FabricConfig {
-            threads,
-            ..FabricConfig::default()
-        });
+        let mut fab = Fabric::new(FabricConfig::default());
         let m0 = fab.add_machine("m0", quiet_sys(seed));
         let m1 = fab.add_machine("m1", quiet_sys(seed + 1));
         let echo_port = fab.machine_mut(m1).add_host(Box::new(Echo));
@@ -1138,21 +1060,6 @@ mod tests {
     #[test]
     fn co_simulation_is_deterministic() {
         assert_eq!(two_machine_ping(42), two_machine_ping(42));
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        // The windowed schedule is shared by every thread count, so the
-        // reply time and link byte counts must be identical whether the
-        // machines step inline or on worker threads.
-        let base = two_machine_ping_threads(42, 1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                two_machine_ping_threads(42, threads),
-                base,
-                "threads={threads} diverged from single-thread run"
-            );
-        }
     }
 
     #[test]
@@ -1386,15 +1293,14 @@ mod tests {
     }
 
     #[test]
-    fn topologies_are_thread_invariant_and_deterministic() {
+    fn topologies_are_deterministic() {
         use crate::topology::{TopoKind, TopologyConfig};
         for kind in [
             TopoKind::LeafSpine { leaf_size: 2 },
             TopoKind::FatTree { k: 0 },
         ] {
-            let run = |threads: usize| {
+            let run = || {
                 let mut fab = Fabric::new(FabricConfig {
-                    threads,
                     topology: TopologyConfig { kind, oversub: 2 },
                     ..FabricConfig::default()
                 });
@@ -1415,9 +1321,7 @@ mod tests {
                 let at = fab.machine(m0).host_as::<Pinger>(port).unwrap().replies[0].0;
                 (at, fab.metrics().counter("fabric.bytes"))
             };
-            let base = run(1);
-            assert_eq!(run(1), base, "{kind}: rerun diverged");
-            assert_eq!(run(4), base, "{kind}: threads=4 diverged");
+            assert_eq!(run(), run(), "{kind}: rerun diverged");
         }
     }
 

@@ -20,11 +20,9 @@
 //!    machines' tunnel output in `(timestamp, machine, production-order)`
 //!    order and crosses the links. Directory sweeps and scheduled faults
 //!    are control points that additionally cap windows, so they observe a
-//!    globally consistent instant. Because the *same* windowed schedule
-//!    runs whether machines step on one thread or on
-//!    [`FabricConfig::threads`] workers, any thread count replays
-//!    bit-identically from a seed — parallelism changes wall-clock time,
-//!    never results.
+//!    globally consistent instant. The windows and the barrier's merge
+//!    order define the rack's event order, so a seed replays
+//!    bit-identically.
 //! 2. **Transparent tunnels over an explicit topology.** Each machine's
 //!    edge switch grows fabric-owned *proxy ports*, one per remote peer the
 //!    machine talks to. A frame sent to a proxy port crosses the
@@ -56,6 +54,8 @@
 //! evolve together.
 //!
 //! [`NetCostModel`]: lastcpu_net::NetCostModel
+
+#![forbid(unsafe_code)]
 
 pub mod fabric;
 pub mod proto;

@@ -142,8 +142,8 @@ impl HashRing {
 impl lastcpu_snap::Snapshot for HashRing {
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         w.put_u32(self.vnodes);
-        // `points` is fully derivable from `nodes`, but serializing it keeps
-        // restore recomputation-free and lets verification cover it.
+        // `points` is fully derivable from `nodes`, but serializing it lets
+        // verification cover it.
         w.put_len(self.nodes.len());
         for n in &self.nodes {
             w.put_str(n);
@@ -153,28 +153,6 @@ impl lastcpu_snap::Snapshot for HashRing {
             w.put_u64(*h);
             w.put_len(*i);
         }
-    }
-}
-
-impl lastcpu_snap::Restore for HashRing {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.vnodes = r.u32()?;
-        let n = r.len()?;
-        self.nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.nodes.push(r.str()?);
-        }
-        let np = r.len()?;
-        self.points = Vec::with_capacity(np);
-        for _ in 0..np {
-            let h = r.u64()?;
-            let i = r.len()?;
-            if i >= n {
-                return Err(r.corrupt(format!("ring point references node {i} of {n}")));
-            }
-            self.points.push((h, i));
-        }
-        Ok(())
     }
 }
 

@@ -181,16 +181,6 @@ impl DmaDenialRecord {
         self.access.encode(w);
         self.kind.encode(w);
     }
-
-    /// Inverse of [`DmaDenialRecord::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(DmaDenialRecord {
-            pasid: Pasid(r.u32()?),
-            va: VirtAddr::new(r.u64()?),
-            access: AccessKind::decode(r)?,
-            kind: IommuFaultKind::decode(r)?,
-        })
-    }
 }
 
 impl lastcpu_snap::Snapshot for DmaAudit {
@@ -205,25 +195,5 @@ impl lastcpu_snap::Snapshot for DmaAudit {
         for rec in &self.log {
             rec.encode(w);
         }
-    }
-}
-
-impl lastcpu_snap::Restore for DmaAudit {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.allowed = r.u64()?;
-        self.denied = r.u64()?;
-        self.pending_allowed = r.u64()?;
-        self.pending_denied = r.u64()?;
-        self.dropped = r.u64()?;
-        self.cap = r.u64()? as usize;
-        let n = r.len()?;
-        if n > self.cap {
-            return Err(r.corrupt("audit log exceeds its capacity"));
-        }
-        self.log = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.log.push(DmaDenialRecord::decode(r)?);
-        }
-        Ok(())
     }
 }

@@ -112,16 +112,6 @@ impl AccessKind {
             AccessKind::Execute => 2,
         });
     }
-
-    /// Inverse of [`AccessKind::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => AccessKind::Read,
-            1 => AccessKind::Write,
-            2 => AccessKind::Execute,
-            t => return Err(r.corrupt(format!("bad AccessKind tag {t}"))),
-        })
-    }
 }
 
 impl IommuFaultKind {
@@ -137,19 +127,6 @@ impl IommuFaultKind {
             IommuFaultKind::UnknownPasid => w.put_u8(3),
         }
     }
-
-    /// Inverse of [`IommuFaultKind::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => IommuFaultKind::NotMapped,
-            1 => IommuFaultKind::PermissionDenied {
-                have: Perms::from_bits(r.u8()?),
-            },
-            2 => IommuFaultKind::OutOfRange,
-            3 => IommuFaultKind::UnknownPasid,
-            t => return Err(r.corrupt(format!("bad IommuFaultKind tag {t}"))),
-        })
-    }
 }
 
 impl IommuFault {
@@ -159,16 +136,6 @@ impl IommuFault {
         w.put_u64(self.va.as_u64());
         self.access.encode(w);
         self.kind.encode(w);
-    }
-
-    /// Inverse of [`IommuFault::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(IommuFault {
-            pasid: Pasid(r.u32()?),
-            va: VirtAddr::new(r.u64()?),
-            access: AccessKind::decode(r)?,
-            kind: IommuFaultKind::decode(r)?,
-        })
     }
 }
 

@@ -16,6 +16,7 @@
 //! measure the translation-overhead claim, and a walk-cost model charging
 //! one table-node access per level on a miss.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

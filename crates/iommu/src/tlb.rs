@@ -282,53 +282,6 @@ impl lastcpu_snap::Snapshot for Iotlb {
     }
 }
 
-impl lastcpu_snap::Restore for Iotlb {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let capacity = r.u64()? as usize;
-        if capacity == 0 {
-            return Err(r.corrupt("Iotlb capacity must be positive"));
-        }
-        let tick = r.u64()?;
-        let stats = TlbStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            perm_misses: r.u64()?,
-            evictions: r.u64()?,
-            invalidations: r.u64()?,
-        };
-        let n = r.len()?;
-        if n > capacity {
-            return Err(r.corrupt("Iotlb entry count exceeds capacity"));
-        }
-        let mut entries = HashMap::with_capacity(capacity);
-        for _ in 0..n {
-            let pasid = Pasid(r.u32()?);
-            let page = r.u64()?;
-            let entry = TlbEntry {
-                frame_pa: PhysAddr::new(r.u64()?),
-                perms: Perms::from_bits(r.u8()?),
-                last_used: r.u64()?,
-            };
-            entries.insert((pasid, page), entry);
-        }
-        let front = r.opt(|r| {
-            Ok(FrontEntry {
-                pasid: Pasid(r.u32()?),
-                page: r.u64()?,
-                frame_pa: PhysAddr::new(r.u64()?),
-                perms: Perms::from_bits(r.u8()?),
-                last_used: r.u64()?,
-            })
-        })?;
-        self.capacity = capacity;
-        self.tick = tick;
-        self.stats = stats;
-        self.entries = entries;
-        self.front = front;
-        Ok(())
-    }
-}
-
 impl std::fmt::Debug for Iotlb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -435,34 +435,6 @@ impl lastcpu_snap::Snapshot for Iommu {
     }
 }
 
-impl lastcpu_snap::Restore for Iommu {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.cost.tlb_lookup = SimDuration::from_nanos(r.u64()?);
-        self.cost.walk_per_access = SimDuration::from_nanos(r.u64()?);
-        self.cost.invalidate = SimDuration::from_nanos(r.u64()?);
-        self.stats.translations = r.u64()?;
-        self.stats.faults = r.u64()?;
-        self.stats.maps = r.u64()?;
-        self.stats.unmaps = r.u64()?;
-        let n = r.len()?;
-        self.tables = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let pasid = Pasid(r.u32()?);
-            let mut table = PageTable::new();
-            table.restore(r)?;
-            self.tables.insert(pasid, table);
-        }
-        self.tlb.restore(r)?;
-        self.last_fault = r.opt(IommuFault::decode)?;
-        self.audit = r.opt(|r| {
-            let mut a = DmaAudit::default();
-            a.restore(r)?;
-            Ok(a)
-        })?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,10 +70,6 @@ impl NicApp for KvsNicApp {
         Ok(())
     }
 
-    fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        lastcpu_snap::Restore::restore(self, r)
-    }
-
     fn app_name(&self) -> &str {
         "kvs"
     }
@@ -134,11 +130,5 @@ impl lastcpu_snap::Snapshot for KvsNicApp {
         // `out` is drained within the same delivery, so only the server
         // carries durable state.
         self.server.snapshot(w);
-    }
-}
-
-impl lastcpu_snap::Restore for KvsNicApp {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.server.restore(r)
     }
 }

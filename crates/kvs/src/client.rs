@@ -324,10 +324,6 @@ impl NetHost for KvsClientHost {
         Ok(())
     }
 
-    fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        lastcpu_snap::Restore::restore(self, r)
-    }
-
     fn name(&self) -> &str {
         &self.config.stats_prefix
     }
@@ -515,47 +511,6 @@ impl lastcpu_snap::Snapshot for KvsClientHost {
         w.put_opt(self.finished_at.as_ref(), |w, t| w.put_u64(t.as_nanos()));
         // Excluded: `met` (live MetricsHub handles) and `value_scratch`
         // (refilled on every issue).
-    }
-}
-
-impl lastcpu_snap::Restore for KvsClientHost {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.server = PortId(r.u32()?);
-        self.config.keys = r.u64()?;
-        self.config.theta = r.f64()?;
-        self.config.read_fraction = r.f64()?;
-        self.config.value_size = r.len()?;
-        self.config.outstanding = r.len()?;
-        self.config.total_ops = r.u64()?;
-        self.config.preload = r.bool()?;
-        self.config.timeout = SimDuration::from_nanos(r.u64()?);
-        self.config.stats_prefix = r.str()?;
-        self.phase = match r.u8()? {
-            0 => Phase::Probing,
-            1 => Phase::Loading,
-            2 => Phase::Running,
-            3 => Phase::Done,
-            t => return Err(r.corrupt(format!("unknown client phase tag {t}"))),
-        };
-        self.next_id = r.u64()?;
-        let n = r.len()?;
-        self.outstanding = DetHashMap::default();
-        for _ in 0..n {
-            let id = r.u64()?;
-            let sent = SimTime::from_nanos(r.u64()?);
-            let is_read = r.bool()?;
-            self.outstanding.insert(id, (sent, is_read));
-        }
-        self.load_next = r.u64()?;
-        self.ops_done = r.u64()?;
-        self.ops_issued = r.u64()?;
-        self.errors = r.u64()?;
-        self.busy_rejections = r.u64()?;
-        self.unavailable_rejections = r.u64()?;
-        self.timeouts = r.u64()?;
-        self.started_at = r.opt(|r| Ok(SimTime::from_nanos(r.u64()?)))?;
-        self.finished_at = r.opt(|r| Ok(SimTime::from_nanos(r.u64()?)))?;
-        Ok(())
     }
 }
 

@@ -85,9 +85,3 @@ impl lastcpu_snap::Snapshot for KvsCpuApp {
         self.server.snapshot(w);
     }
 }
-
-impl lastcpu_snap::Restore for KvsCpuApp {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.server.restore(r)
-    }
-}

@@ -478,7 +478,7 @@ impl lastcpu_snap::Snapshot for KvEngine {
         w.put_u64(self.stats.log_bytes);
         w.put_u64(self.stats.dead_bytes);
         // Sorted by key: DetHashMap iteration order depends on insertion
-        // history, which a restore does not reproduce.
+        // history, which is not part of the logical state.
         let mut keys: Vec<&Vec<u8>> = self.index.keys().collect();
         keys.sort_unstable();
         w.put_len(keys.len());
@@ -491,36 +491,10 @@ impl lastcpu_snap::Snapshot for KvEngine {
     }
 }
 
-impl lastcpu_snap::Restore for KvEngine {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.cursor = r.u64()?;
-        self.stats.log_bytes = r.u64()?;
-        self.stats.dead_bytes = r.u64()?;
-        let n = r.len()?;
-        self.index = DetHashMap::default();
-        for _ in 0..n {
-            let k = r.bytes()?;
-            let offset = r.u64()?;
-            let len = r.u32()?;
-            self.index.insert(k, ValueRef { offset, len });
-        }
-        self.stats.live_keys = self.index.len() as u64;
-        Ok(())
-    }
-}
-
 impl lastcpu_snap::Snapshot for LogScanner {
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         w.put_bytes(&self.carry);
         w.put_u64(self.base);
-    }
-}
-
-impl lastcpu_snap::Restore for LogScanner {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.carry = r.bytes()?;
-        self.base = r.u64()?;
-        Ok(())
     }
 }
 

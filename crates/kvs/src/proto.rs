@@ -340,11 +340,6 @@ impl KvsStatus {
     pub fn snap_encode(self) -> u8 {
         self.to_u8()
     }
-
-    /// Inverse of [`KvsStatus::snap_encode`].
-    pub fn snap_decode(v: u8) -> KvsStatus {
-        KvsStatus::from_u8(v)
-    }
 }
 
 #[cfg(test)]

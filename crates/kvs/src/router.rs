@@ -944,10 +944,6 @@ impl NetHost for ShardRouterHost {
         Ok(())
     }
 
-    fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        lastcpu_snap::Restore::restore(self, r)
-    }
-
     fn name(&self) -> &str {
         &self.config.name
     }
@@ -1013,17 +1009,6 @@ impl RetryPolicy {
             RetryPolicy::AdaptiveP2c => 3,
         }
     }
-
-    /// Inverse of [`RetryPolicy::snap_encode`].
-    pub fn snap_decode(v: u8) -> Option<RetryPolicy> {
-        Some(match v {
-            0 => RetryPolicy::Static,
-            1 => RetryPolicy::Adaptive,
-            2 => RetryPolicy::P2c,
-            3 => RetryPolicy::AdaptiveP2c,
-            _ => return None,
-        })
-    }
 }
 
 impl Op {
@@ -1036,15 +1021,6 @@ impl Op {
             }
             Op::Delete => w.put_u8(2),
         }
-    }
-
-    fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Op> {
-        Ok(match r.u8()? {
-            0 => Op::Get,
-            1 => Op::Put { value: r.bytes()? },
-            2 => Op::Delete,
-            t => return Err(r.corrupt(format!("unknown router op tag {t}"))),
-        })
     }
 }
 
@@ -1088,9 +1064,8 @@ impl lastcpu_snap::Snapshot for ShardRouterHost {
             w.put_bool(p.needs_redispatch);
             w.put_opt(p.defer_until.as_ref(), |w, t| w.put_u64(t.as_nanos()));
         }
-        // sub_index is derivable from pending, but serialized so restore
-        // needs no rebuild pass and verification covers it. Sorted: it is
-        // an unordered map.
+        // sub_index is derivable from pending, but serialized so
+        // verification covers it. Sorted: it is an unordered map.
         let mut subs: Vec<u64> = self.sub_index.keys().copied().collect();
         subs.sort_unstable();
         w.put_len(subs.len());
@@ -1121,104 +1096,6 @@ impl lastcpu_snap::Snapshot for ShardRouterHost {
         w.put_u64(self.stats.busy_deferrals);
         // Excluded: `met` (live MetricsHub handles; the hub snapshots its
         // own key space).
-    }
-}
-
-impl lastcpu_snap::Restore for ShardRouterHost {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.config.dir_port = PortId(r.u32()?);
-        self.config.service_kind = r.str()?;
-        self.config.replication = r.len()?;
-        self.config.vnodes = r.u32()?;
-        self.config.tick = SimDuration::from_nanos(r.u64()?);
-        self.config.sub_timeout = SimDuration::from_nanos(r.u64()?);
-        self.config.max_retries = r.u32()?;
-        let tag = r.u8()?;
-        self.config.policy = RetryPolicy::snap_decode(tag)
-            .ok_or_else(|| r.corrupt(format!("unknown retry policy tag {tag}")))?;
-        self.config.rtt_multiplier = r.u64()?;
-        self.config.busy_backoff = SimDuration::from_nanos(r.u64()?);
-        self.config.name = r.str()?;
-        self.ring.restore(r)?;
-        let n = r.len()?;
-        self.endpoints = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.str()?;
-            let port = PortId(r.u32()?);
-            self.endpoints.insert(name, port);
-        }
-        self.epoch = r.u64()?;
-        self.next_sub_id = r.u64()?;
-        self.next_seq = r.u64()?;
-        let n = r.len()?;
-        self.pending = BTreeMap::new();
-        for _ in 0..n {
-            let seq = r.u64()?;
-            let client = PortId(r.u32()?);
-            let client_id = r.u64()?;
-            let key = r.bytes()?;
-            let op = Op::snap_decode(r)?;
-            let ns = r.len()?;
-            let mut subs = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                subs.push(Sub {
-                    target: r.str()?,
-                    id: r.u64()?,
-                    sent_at: SimTime::from_nanos(r.u64()?),
-                    ack: r.opt(|r| Ok(KvsStatus::snap_decode(r.u8()?)))?,
-                });
-            }
-            let attempts = r.u32()?;
-            let needs_redispatch = r.bool()?;
-            let defer_until = r.opt(|r| Ok(SimTime::from_nanos(r.u64()?)))?;
-            self.pending.insert(
-                seq,
-                PendingReq {
-                    client,
-                    client_id,
-                    key,
-                    op,
-                    subs,
-                    attempts,
-                    needs_redispatch,
-                    defer_until,
-                },
-            );
-        }
-        let n = r.len()?;
-        self.sub_index = DetHashMap::default();
-        for _ in 0..n {
-            let id = r.u64()?;
-            let seq = r.u64()?;
-            self.sub_index.insert(id, seq);
-        }
-        let n = r.len()?;
-        self.load = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.str()?;
-            let l = EndpointLoad {
-                outstanding: r.u32()?,
-                ewma_rtt_ns: r.u64()?,
-                busy_until: SimTime::from_nanos(r.u64()?),
-            };
-            self.load.insert(name, l);
-        }
-        let n = r.len()?;
-        self.acked_puts = BTreeSet::new();
-        for _ in 0..n {
-            self.acked_puts.insert(r.bytes()?);
-        }
-        self.stats.requests = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.failovers = r.u64()?;
-        self.stats.give_ups = r.u64()?;
-        self.stats.rebalance_moves = r.u64()?;
-        self.stats.epoch = r.u64()?;
-        self.stats.dir_replies = r.u64()?;
-        self.stats.dir_installs = r.u64()?;
-        self.stats.late_acks = r.u64()?;
-        self.stats.busy_deferrals = r.u64()?;
-        Ok(())
     }
 }
 

@@ -950,22 +950,6 @@ fn server_state_tag(s: ServerState) -> u8 {
     }
 }
 
-fn server_state_from_tag(
-    r: &mut lastcpu_snap::SnapReader<'_>,
-    tag: u8,
-) -> lastcpu_snap::Result<ServerState> {
-    Ok(match tag {
-        0 => ServerState::Boot,
-        1 => ServerState::FindingMemory,
-        2 => ServerState::FindingFile,
-        3 => ServerState::Connecting,
-        4 => ServerState::Rebuilding,
-        5 => ServerState::Ready,
-        6 => ServerState::Failed,
-        t => return Err(r.corrupt(format!("unknown server state tag {t}"))),
-    })
-}
-
 impl Pending {
     fn snap_encode(&self, w: &mut lastcpu_snap::SnapWriter) {
         match self {
@@ -997,27 +981,6 @@ impl Pending {
             }
         }
     }
-
-    fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Pending> {
-        Ok(match r.u8()? {
-            0 => Pending::Get {
-                port: PortId(r.u32()?),
-                id: r.u64()?,
-            },
-            1 => Pending::Put {
-                port: PortId(r.u32()?),
-                id: r.u64()?,
-                key: r.bytes()?,
-                value: r.bytes()?,
-            },
-            2 => Pending::Delete {
-                port: PortId(r.u32()?),
-                id: r.u64()?,
-            },
-            3 => Pending::Rebuild { len: r.u32()? },
-            t => return Err(r.corrupt(format!("unknown pending-op tag {t}"))),
-        })
-    }
 }
 
 impl lastcpu_snap::Snapshot for ValueCache {
@@ -1030,28 +993,6 @@ impl lastcpu_snap::Snapshot for ValueCache {
             w.put_bytes(k);
             w.put_bytes(&self.map[k]);
         }
-    }
-}
-
-impl lastcpu_snap::Restore for ValueCache {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.capacity = r.len()?;
-        let n = r.len()?;
-        if n > self.capacity {
-            return Err(r.corrupt(format!(
-                "cache holds {n} entries but capacity is {}",
-                self.capacity
-            )));
-        }
-        self.map = DetHashMap::default();
-        self.order = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let k = r.bytes()?;
-            let v = r.bytes()?;
-            self.order.push_back(k.clone());
-            self.map.insert(k, v);
-        }
-        Ok(())
     }
 }
 
@@ -1103,72 +1044,6 @@ impl lastcpu_snap::Snapshot for KvsServer {
         // Excluded: `met` (live MetricsHub handles, owned by the hub's own
         // section) and `comp_buf` (reused scratch, contents meaningless
         // between events).
-    }
-}
-
-impl lastcpu_snap::Restore for KvsServer {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.config.file_pattern = r.str()?;
-        self.config.memctl = r.opt(|r| Ok(DeviceId(r.u32()?)))?;
-        self.config.token = Token(r.u128()?);
-        self.config.va_base = r.u64()?;
-        self.config.queue_size = r.u16()?;
-        self.config.cache_entries = r.len()?;
-        self.config.per_request_cost = SimDuration::from_nanos(r.u64()?);
-        self.pasid = Pasid(r.u32()?);
-        let tag = r.u8()?;
-        self.state = server_state_from_tag(r, tag)?;
-        self.engine.restore(r)?;
-        self.scanner.restore(r)?;
-        self.memctl = r.opt(|r| Ok(DeviceId(r.u32()?)))?;
-        self.mem_op = r.u64()?;
-        self.file_op = r.u64()?;
-        self.session = r.opt(|r| {
-            let mut s = FileSession::new(
-                DeviceId(0),
-                DeviceId(0),
-                lastcpu_bus::ServiceId(0),
-                Token::NONE,
-                Pasid(0),
-                0,
-                1,
-            );
-            s.restore(r)?;
-            Ok(s)
-        })?;
-        self.file_size = r.u64()?;
-        self.rebuild_next = r.u64()?;
-        self.rebuild_inflight = r.u64()?;
-        let n = r.len()?;
-        self.inflight = DetHashMap::default();
-        for _ in 0..n {
-            let slot = r.u16()?;
-            let p = Pending::snap_decode(r)?;
-            self.inflight.insert(slot, p);
-        }
-        let n = r.len()?;
-        self.backlog = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let port = PortId(r.u32()?);
-            let body = r.bytes()?;
-            let req = KvsRequest::decode(&body)
-                .ok_or_else(|| r.corrupt("undecodable backlogged request"))?;
-            self.backlog.push_back((port, req));
-        }
-        self.cache.restore(r)?;
-        self.stats.gets = r.u64()?;
-        self.stats.puts = r.u64()?;
-        self.stats.deletes = r.u64()?;
-        self.stats.cache_hits = r.u64()?;
-        self.stats.fast_gets = r.u64()?;
-        self.stats.shed = r.u64()?;
-        self.stats.misses = r.u64()?;
-        self.stats.failures = r.u64()?;
-        self.stats.unavailable = r.u64()?;
-        self.recovering = r.bool()?;
-        self.generation = r.u64()?;
-        self.fast_path = r.bool()?;
-        Ok(())
     }
 }
 

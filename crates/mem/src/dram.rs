@@ -256,7 +256,7 @@ impl lastcpu_snap::Snapshot for Dram {
     /// frame (sorted by frame number, page bodies RLE-compressed — DRAM
     /// images are overwhelmingly zero). Frame *residency* is part of the
     /// state: a frame that was written and later zeroed in place stays
-    /// resident, and restore reproduces that exactly.
+    /// resident, and the snapshot records it.
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         w.put_u64(self.size);
         w.put_u64(self.cost.access_latency.as_nanos());
@@ -270,30 +270,6 @@ impl lastcpu_snap::Snapshot for Dram {
             w.put_u64(f);
             w.put_bytes_rle(&self.frames[&f]);
         }
-    }
-}
-
-impl lastcpu_snap::Restore for Dram {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.size = r.u64()?;
-        self.cost.access_latency = SimDuration::from_nanos(r.u64()?);
-        self.cost.per_byte_ps = r.u64()?;
-        self.bytes_read = r.u64()?;
-        self.bytes_written = r.u64()?;
-        self.frames.clear();
-        let n = r.len()?;
-        for _ in 0..n {
-            let f = r.u64()?;
-            let body = r.bytes_rle()?;
-            if body.len() != PAGE_SIZE as usize {
-                return Err(lastcpu_snap::SnapError::Corrupt {
-                    section: "dram".into(),
-                    detail: format!("frame {f} body is {} bytes, want {PAGE_SIZE}", body.len()),
-                });
-            }
-            self.frames.insert(f, body.into_boxed_slice());
-        }
-        Ok(())
     }
 }
 

@@ -234,35 +234,6 @@ impl lastcpu_snap::Snapshot for FrameAllocator {
     }
 }
 
-impl lastcpu_snap::Restore for FrameAllocator {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.total = r.u64()?;
-        self.in_use = r.u64()?;
-        let orders = r.len()?;
-        if orders != MAX_ORDER as usize + 1 {
-            return Err(lastcpu_snap::SnapError::Corrupt {
-                section: "frame-allocator".into(),
-                detail: format!("{orders} order lists, want {}", MAX_ORDER + 1),
-            });
-        }
-        self.free = vec![BTreeSet::new(); orders];
-        for set in &mut self.free {
-            let n = r.len()?;
-            for _ in 0..n {
-                set.insert(r.u64()?);
-            }
-        }
-        self.allocated.clear();
-        let n = r.len()?;
-        for _ in 0..n {
-            let f = r.u64()?;
-            let o = r.u8()?;
-            self.allocated.insert(f, o);
-        }
-        Ok(())
-    }
-}
-
 impl fmt::Debug for FrameAllocator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

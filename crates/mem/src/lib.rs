@@ -14,6 +14,8 @@
 //! - [`pagetable`]: a 4-level radix page table, the structure the system bus
 //!   programs into each device's IOMMU.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod dram;
 pub mod frame;

@@ -425,26 +425,6 @@ impl lastcpu_snap::Snapshot for PageTable {
     }
 }
 
-impl lastcpu_snap::Restore for PageTable {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let node_count = r.u64()?;
-        *self = PageTable::new();
-        let n = r.len()?;
-        for _ in 0..n {
-            let va = VirtAddr::new(r.u64()?);
-            let pa = PhysAddr::new(r.u64()?);
-            let perms = Perms::from_bits(r.u8()?);
-            self.map(va, pa, perms)
-                .map_err(|e| lastcpu_snap::SnapError::Corrupt {
-                    section: "pagetable".into(),
-                    detail: format!("replaying mapping {va}: {e}"),
-                })?;
-        }
-        self.node_count = node_count;
-        Ok(())
-    }
-}
-
 impl fmt::Debug for PageTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

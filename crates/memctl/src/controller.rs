@@ -588,66 +588,6 @@ impl lastcpu_snap::Snapshot for MemoryController {
     }
 }
 
-impl lastcpu_snap::Restore for MemoryController {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.id = DeviceId(r.u32()?);
-        self.frames.restore(r)?;
-        self.next_region = r.u64()?;
-        self.next_req = r.u64()?;
-        self.config.per_device_quota = r.opt(|r| r.u64())?;
-        self.stats.allocs = r.u64()?;
-        self.stats.frees = r.u64()?;
-        self.stats.shares = r.u64()?;
-        self.stats.denials = r.u64()?;
-        self.stats.oom = r.u64()?;
-        self.stats.bytes_in_use = r.u64()?;
-        self.stats.peak_bytes = r.u64()?;
-        self.stats.reclaimed = r.u64()?;
-        let n = r.len()?;
-        self.regions = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = r.u64()?;
-            let owner = DeviceId(r.u32()?);
-            let pasid = r.u32()?;
-            let va = r.u64()?;
-            let pages = r.u64()?;
-            let first_frame = r.u64()?;
-            let perms = r.u8()?;
-            let k = r.len()?;
-            let mut shares = Vec::with_capacity(k);
-            for _ in 0..k {
-                shares.push(ShareEntry {
-                    device: DeviceId(r.u32()?),
-                    pasid: r.u32()?,
-                    va: r.u64()?,
-                    perms: r.u8()?,
-                });
-            }
-            self.regions.insert(
-                id,
-                Region {
-                    id,
-                    owner,
-                    pasid,
-                    va,
-                    pages,
-                    first_frame,
-                    perms,
-                    shares,
-                },
-            );
-        }
-        let n = r.len()?;
-        self.usage = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let d = DeviceId(r.u32()?);
-            let b = r.u64()?;
-            self.usage.insert(d, b);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,6 +11,8 @@
 //! [`Switch::route`] returns `(port, deliver_at)` pairs which the caller
 //! turns into scheduled events.
 
+#![forbid(unsafe_code)]
+
 pub mod switch;
 
 pub use lastcpu_sim::pool::{BufPool, Bytes};

@@ -248,31 +248,6 @@ impl lastcpu_snap::Snapshot for Switch {
     }
 }
 
-impl lastcpu_snap::Restore for Switch {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.cost.per_byte_ps = r.u64()?;
-        self.cost.switch_latency = SimDuration::from_nanos(r.u64()?);
-        self.cost.propagation = SimDuration::from_nanos(r.u64()?);
-        self.stats.forwarded = r.u64()?;
-        self.stats.dropped = r.u64()?;
-        self.stats.bytes = r.u64()?;
-        self.next_port = r.u32()?;
-        let n = r.len()?;
-        self.ports = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.ports.push(PortId(r.u32()?));
-        }
-        let n = r.len()?;
-        self.busy_until = DetHashMap::default();
-        for _ in 0..n {
-            let p = PortId(r.u32()?);
-            let t = SimTime::from_nanos(r.u64()?);
-            self.busy_until.insert(p, t);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

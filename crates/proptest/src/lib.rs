@@ -11,6 +11,8 @@
 //! and input by panicking directly), and a fixed case count of
 //! [`CASES`] deterministic cases per property seeded from the property name.
 
+#![forbid(unsafe_code)]
+
 /// Number of cases each property runs.
 pub const CASES: u32 = 64;
 

@@ -39,6 +39,7 @@
 //! assert_eq!(AttackKind::ALL[0].tag(), "wild-dma");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod malicious;

@@ -122,31 +122,6 @@ impl FaultKind {
             }
         }
     }
-
-    /// Inverse of [`FaultKind::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<FaultKind> {
-        Ok(match r.u8()? {
-            0 => FaultKind::Drop { count: r.u32()? },
-            1 => FaultKind::Corrupt { count: r.u32()? },
-            2 => FaultKind::Delay {
-                count: r.u32()?,
-                extra_ns: r.u64()?,
-            },
-            3 => FaultKind::Crash,
-            4 => FaultKind::Hang,
-            5 => FaultKind::SlowDown {
-                factor: r.u32()?,
-                for_ns: r.u64()?,
-            },
-            6 => FaultKind::IommuStorm { count: r.u32()? },
-            tag => {
-                return Err(lastcpu_snap::SnapError::Corrupt {
-                    section: "faults".into(),
-                    detail: format!("unknown FaultKind tag {tag}"),
-                })
-            }
-        })
-    }
 }
 
 impl FaultEvent {
@@ -155,15 +130,6 @@ impl FaultEvent {
         w.put_u64(self.at.as_nanos());
         w.put_str(&self.target);
         self.kind.encode(w);
-    }
-
-    /// Inverse of [`FaultEvent::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<FaultEvent> {
-        Ok(FaultEvent {
-            at: SimTime::from_nanos(r.u64()?),
-            target: r.str()?,
-            kind: FaultKind::decode(r)?,
-        })
     }
 }
 

@@ -283,7 +283,7 @@ impl MetricsHub {
 impl lastcpu_snap::Snapshot for MetricsHub {
     /// Serializes every registered metric in key order. Zero-valued but
     /// registered metrics are included: registration is part of the state
-    /// (a restored hub must re-export the same key set).
+    /// (a replayed hub must re-export the same key set).
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         let inner = self.inner.borrow();
         w.put_len(inner.counters.len());
@@ -301,34 +301,6 @@ impl lastcpu_snap::Snapshot for MetricsHub {
             w.put_str(k);
             h.borrow().snapshot(w);
         }
-    }
-}
-
-impl lastcpu_snap::Restore for MetricsHub {
-    /// Zeroes live metrics, then loads checkpointed values — creating
-    /// registrations for keys not yet seen, through the same get-or-create
-    /// path recording uses, so outstanding handles stay valid.
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.reset();
-        let n = r.len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let v = r.u64()?;
-            self.counter_handle(&k).0.set(v);
-        }
-        let n = r.len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let v = r.i64()?;
-            self.gauge_handle(&k).0.set(v);
-        }
-        let n = r.len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let h = self.histogram_handle(&k);
-            h.0.borrow_mut().restore(r)?;
-        }
-        Ok(())
     }
 }
 

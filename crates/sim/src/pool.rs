@@ -1,4 +1,4 @@
-//! Pooled payload buffers for the zero-alloc delivery path (E13).
+//! Pooled payload buffers for the zero-alloc delivery path (DESIGN.md §13.1).
 //!
 //! The E12 profiler attributed ~92% of the system phase's residual
 //! allocs/event to frame-delivery payload buffers: every request/response
@@ -15,9 +15,8 @@
 //! - A pool is owned by one simulated machine and only touched from its
 //!   (serialized) event execution, so the take/return sequence — and with
 //!   it the *allocation count* observed by the E9 profiler — is identical
-//!   across runs and across fabric thread counts. Thread-safety (a `Mutex`)
-//!   is still required because the parallel fabric returns tunneled
-//!   buffers at window barriers from the coordinator thread.
+//!   across runs. The free-list sits behind a `Mutex`, which is never
+//!   contended: every machine of a rack steps on the calling thread.
 //! - Unpooled `Bytes` (built from a plain `Vec<u8>`) behave identically on
 //!   the wire: same bytes, same equality, same hashes. Pooling is a pure
 //!   storage optimization — a differential test drives the same workload
@@ -228,34 +227,6 @@ impl BufPool {
         self.core.shed.store(0, Ordering::Relaxed);
     }
 
-    /// Restores checkpointed pool state: traffic counters, the generation
-    /// cursor, and the free-list *length* (`idle` cleared buffers — contents
-    /// and capacities are not semantic: a recycled buffer is always cleared
-    /// before reuse, so only how many takes hit the free-list matters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffers are still outstanding — restoring under live
-    /// handles would corrupt the generation cursor.
-    pub fn restore_state(&self, stats: PoolStats, idle: usize, next_gen: u64) {
-        if let Some(live) = &self.core.live {
-            assert!(
-                live.lock().expect("pool live set poisoned").is_empty(),
-                "BufPool::restore_state with outstanding buffers"
-            );
-        }
-        let mut free = self.core.free.lock().expect("pool free-list poisoned");
-        free.clear();
-        free.resize_with(idle.min(self.core.max_free), Vec::new);
-        drop(free);
-        self.core.taken.store(stats.taken, Ordering::Relaxed);
-        self.core.recycled.store(stats.recycled, Ordering::Relaxed);
-        self.core.fresh.store(stats.fresh, Ordering::Relaxed);
-        self.core.returned.store(stats.returned, Ordering::Relaxed);
-        self.core.shed.store(stats.shed, Ordering::Relaxed);
-        self.core.next_gen.store(next_gen, Ordering::Relaxed);
-    }
-
     /// Buffers handed out and not yet returned.
     pub fn outstanding(&self) -> u64 {
         let s = self.stats();
@@ -457,22 +428,6 @@ impl lastcpu_snap::Snapshot for BufPool {
         w.put_u64(s.shed);
         w.put_len(self.idle());
         w.put_u64(self.next_generation());
-    }
-}
-
-impl lastcpu_snap::Restore for BufPool {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let stats = PoolStats {
-            taken: r.u64()?,
-            recycled: r.u64()?,
-            fresh: r.u64()?,
-            returned: r.u64()?,
-            shed: r.u64()?,
-        };
-        let idle = r.len()?;
-        let next_gen = r.u64()?;
-        self.restore_state(stats, idle, next_gen);
-        Ok(())
     }
 }
 

@@ -4,61 +4,27 @@
 //! broken by insertion order (FIFO), which — together with the seeded RNG —
 //! makes whole-system runs deterministic.
 //!
-//! # Engines
+//! # Engine
 //!
-//! Two interchangeable engines implement the same `(time, seq)` min-order
-//! contract:
+//! [`EventQueue`] is a hierarchical timing wheel. The near future is an
+//! array of power-of-two-granularity slots (O(1) unsorted insert); the slot
+//! currently being drained is sorted once into a `ready` run; anything
+//! beyond the wheel horizon parks in a small overflow heap. Under heavy
+//! traffic almost every event lands in a slot or in the ready run, so the
+//! per-event cost is a push plus an amortized share of one small sort — no
+//! O(log n) sift through a cache-hostile heap per operation.
 //!
-//! - [`QueueEngine::Wheel`] (the default): a hierarchical timing wheel. The
-//!   near future is an array of power-of-two-granularity slots (O(1)
-//!   unsorted insert); the slot currently being drained is sorted once into
-//!   a `ready` run; anything beyond the wheel horizon parks in a small
-//!   overflow heap. Under heavy traffic almost every event lands in a slot
-//!   or in the ready run, so the per-event cost is a push plus an amortized
-//!   share of one small sort — no O(log n) sift through a cache-hostile
-//!   heap per operation.
-//! - [`QueueEngine::Heap`]: the original `BinaryHeap` implementation,
-//!   retained as a differential-testing reference and as the `--engine
-//!   heap` baseline for the E9 throughput experiment.
-//!
-//! Both engines produce bit-identical pop sequences for any schedule (the
-//! property tests below check this on random interleavings), so swapping
-//! engines never perturbs a seeded run.
+//! [`HeapQueue`] is the original `BinaryHeap` implementation of the same
+//! `(time, seq)` min-order contract. It is a reference only: the property
+//! tests below check that both pop bit-identical sequences on random
+//! interleavings, and the E9 throughput experiment measures the wheel
+//! against it.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
-
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueEngine {
-    /// Hierarchical timing wheel (slots + sorted ready run + overflow heap).
-    #[default]
-    Wheel,
-    /// Binary min-heap on `(time, seq)` — the reference implementation.
-    Heap,
-}
-
-impl QueueEngine {
-    /// Parses an engine name as used by bench `--engine` flags.
-    pub fn parse(s: &str) -> Option<QueueEngine> {
-        match s {
-            "wheel" => Some(QueueEngine::Wheel),
-            "heap" => Some(QueueEngine::Heap),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`"wheel"` / `"heap"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueEngine::Wheel => "wheel",
-            QueueEngine::Heap => "heap",
-        }
-    }
-}
 
 /// An event extracted from the queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,9 +35,8 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-/// Internal entry. The heap engine relies on the reversed `Ord` so that the
-/// *earliest* `(time, seq)` pops first; the wheel engine sorts ascending by
-/// the same key.
+/// Internal entry. Heaps rely on the reversed `Ord` so that the *earliest*
+/// `(time, seq)` pops first; the wheel sorts ascending by the same key.
 struct Entry<E> {
     at: SimTime,
     seq: u64,
@@ -285,11 +250,6 @@ impl<E> Wheel<E> {
     }
 }
 
-enum EngineImpl<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Wheel(Wheel<E>),
-}
-
 /// A deterministic min-priority event queue with a virtual clock.
 ///
 /// The queue owns the clock: popping an event advances `now` to the event's
@@ -309,7 +269,7 @@ enum EngineImpl<E> {
 /// assert_eq!(order, vec!["a", "a2", "b"]);
 /// ```
 pub struct EventQueue<E> {
-    engine: EngineImpl<E>,
+    wheel: Wheel<E>,
     now: SimTime,
     seq: u64,
     popped: u64,
@@ -322,31 +282,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue (timing-wheel engine) with the clock at
-    /// [`SimTime::ZERO`].
+    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::with_engine(QueueEngine::Wheel)
-    }
-
-    /// Creates an empty queue backed by the given engine.
-    pub fn with_engine(engine: QueueEngine) -> Self {
-        let engine = match engine {
-            QueueEngine::Heap => EngineImpl::Heap(BinaryHeap::new()),
-            QueueEngine::Wheel => EngineImpl::Wheel(Wheel::new()),
-        };
         EventQueue {
-            engine,
+            wheel: Wheel::new(),
             now: SimTime::ZERO,
             seq: 0,
             popped: 0,
-        }
-    }
-
-    /// Which engine backs this queue.
-    pub fn engine(&self) -> QueueEngine {
-        match self.engine {
-            EngineImpl::Heap(_) => QueueEngine::Heap,
-            EngineImpl::Wheel(_) => QueueEngine::Wheel,
         }
     }
 
@@ -357,10 +299,7 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        match &self.engine {
-            EngineImpl::Heap(h) => h.len(),
-            EngineImpl::Wheel(w) => w.len(),
-        }
+        self.wheel.len()
     }
 
     /// Whether the queue holds no pending events.
@@ -391,11 +330,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let entry = Entry { at, seq, event };
-        match &mut self.engine {
-            EngineImpl::Heap(h) => h.push(entry),
-            EngineImpl::Wheel(w) => w.schedule(entry),
-        }
+        self.wheel.schedule(Entry { at, seq, event });
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -411,40 +346,24 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next pending event, if any.
     ///
-    /// Takes `&mut self` because the wheel engine may advance its drain
-    /// cursor to find the next event; the observable state (pending events,
-    /// clock) is unchanged.
+    /// Takes `&mut self` because the wheel may advance its drain cursor to
+    /// find the next event; the observable state (pending events, clock) is
+    /// unchanged.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.engine {
-            EngineImpl::Heap(h) => h.peek().map(|e| e.at),
-            EngineImpl::Wheel(w) => {
-                w.ensure_ready();
-                w.ready.front().map(|e| e.at)
-            }
-        }
+        self.wheel.ensure_ready();
+        self.wheel.ready.front().map(|e| e.at)
     }
 
     /// Extracts the next entry if it fires at or before `deadline` (`None` =
     /// no deadline). Single peek: the qualifying entry is popped without
     /// re-comparing against the queue.
     fn pop_entry(&mut self, deadline: Option<SimTime>) -> Option<Entry<E>> {
-        match &mut self.engine {
-            EngineImpl::Heap(h) => {
-                let top = h.peek_mut()?;
-                if deadline.is_some_and(|d| top.at > d) {
-                    return None;
-                }
-                Some(PeekMut::pop(top))
-            }
-            EngineImpl::Wheel(w) => {
-                w.ensure_ready();
-                let front = w.ready.front()?;
-                if deadline.is_some_and(|d| front.at > d) {
-                    return None;
-                }
-                w.ready.pop_front()
-            }
+        self.wheel.ensure_ready();
+        let front = self.wheel.ready.front()?;
+        if deadline.is_some_and(|d| front.at > d) {
+            return None;
         }
+        self.wheel.ready.pop_front()
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -482,10 +401,7 @@ impl<E> EventQueue<E> {
     /// [`events_processed`](Self::events_processed) is *not* reset — it is
     /// a lifetime counter by design.
     pub fn clear(&mut self) {
-        match &mut self.engine {
-            EngineImpl::Heap(h) => h.clear(),
-            EngineImpl::Wheel(w) => w.clear(self.now),
-        }
+        self.wheel.clear(self.now);
         self.seq = 0;
     }
 
@@ -495,78 +411,125 @@ impl<E> EventQueue<E> {
     }
 
     /// Every pending entry as `(time, seq, &event)`, sorted by `(time, seq)`
-    /// — i.e. exactly the order the queue would pop them. Engine internals
-    /// (which bucket or heap an entry currently sits in) are not observable,
-    /// so a checkpoint taken from either engine encodes identically.
+    /// — i.e. exactly the order the queue would pop them. Wheel internals
+    /// (which bucket or heap an entry currently sits in) are not observable.
     pub fn entries(&self) -> Vec<(SimTime, u64, &E)> {
-        fn collect<'a, E>(
-            out: &mut Vec<(SimTime, u64, &'a E)>,
-            it: impl Iterator<Item = &'a Entry<E>>,
-        ) {
-            out.extend(it.map(|e| (e.at, e.seq, &e.event)));
-        }
-        let mut out: Vec<(SimTime, u64, &E)> = Vec::with_capacity(self.len());
-        match &self.engine {
-            EngineImpl::Heap(h) => collect(&mut out, h.iter()),
-            EngineImpl::Wheel(w) => {
-                collect(&mut out, w.ready.iter());
-                collect(&mut out, w.slots.iter().flatten());
-                collect(&mut out, w.overflow.iter());
-            }
-        }
+        let w = &self.wheel;
+        let mut out: Vec<(SimTime, u64, &E)> = w
+            .ready
+            .iter()
+            .chain(w.slots.iter().flatten())
+            .chain(w.overflow.iter())
+            .map(|e| (e.at, e.seq, &e.event))
+            .collect();
         out.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         out
     }
+}
 
-    /// Reinitializes the queue from checkpointed state: clock, tie-break
-    /// cursor, lifetime pop counter, and the pending entries *with their
-    /// original seq values* (so same-instant FIFO order replays exactly).
-    ///
-    /// This is the restore path's reset — [`clear`](Self::clear) alone
-    /// cannot be used because it zeroes the seq cursor and keeps the
-    /// lifetime counter, both of which must instead match the checkpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an entry fires before `now` or carries a seq at or beyond
-    /// `seq` (either would mean the checkpoint is internally inconsistent).
-    pub fn reinit_from(
-        &mut self,
-        now: SimTime,
-        seq: u64,
-        popped: u64,
-        entries: impl IntoIterator<Item = (SimTime, u64, E)>,
-    ) {
-        match &mut self.engine {
-            EngineImpl::Heap(h) => h.clear(),
-            EngineImpl::Wheel(w) => w.clear(now),
+/// The reference queue: a binary min-heap on `(time, seq)` with the same
+/// clock and tie-break contract as [`EventQueue`]. It is not used by the
+/// simulator. Differential tests check the wheel against it, and E9
+/// measures the wheel's speed-up over it.
+pub struct HeapQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
+    now: SimTime,
+    seq: u64,
+    popped: u64,
+}
+
+impl<E> Default for HeapQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> HeapQueue<E> {
+    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
+    pub fn new() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            now: SimTime::ZERO,
+            seq: 0,
+            popped: 0,
         }
-        self.now = now;
-        self.seq = seq;
-        self.popped = popped;
-        // Insert in (at, seq) order: the wheel's sorted-ready merge relies
-        // on same-instant entries arriving in ascending seq order.
-        let mut entries: Vec<(SimTime, u64, E)> = entries.into_iter().collect();
-        entries.sort_unstable_by_key(|&(at, s, _)| (at, s));
-        for (at, entry_seq, event) in entries {
-            assert!(
-                at >= now,
-                "reinit_from: entry at {at:?} is before the restored clock {now:?}"
-            );
-            assert!(
-                entry_seq < seq,
-                "reinit_from: entry seq {entry_seq} is at/beyond the cursor {seq}"
-            );
-            let entry = Entry {
-                at,
-                seq: entry_seq,
-                event,
-            };
-            match &mut self.engine {
-                EngineImpl::Heap(h) => h.push(entry),
-                EngineImpl::Wheel(w) => w.schedule(entry),
-            }
+    }
+
+    /// See [`EventQueue::now`].
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// See [`EventQueue::len`].
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// See [`EventQueue::is_empty`].
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// See [`EventQueue::events_processed`].
+    pub fn events_processed(&self) -> u64 {
+        self.popped
+    }
+
+    /// See [`EventQueue::schedule_at`].
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        assert!(
+            at >= self.now,
+            "scheduled event at {at:?} which is before now ({:?})",
+            self.now
+        );
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Entry { at, seq, event });
+    }
+
+    /// See [`EventQueue::schedule_in`].
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
+        self.schedule_at(self.now + delay, event);
+    }
+
+    /// See [`EventQueue::schedule_now`].
+    pub fn schedule_now(&mut self, event: E) {
+        self.schedule_at(self.now, event);
+    }
+
+    /// See [`EventQueue::peek_time`].
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
+    }
+
+    /// See [`EventQueue::pop`].
+    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        self.pop_entry(None)
+    }
+
+    /// See [`EventQueue::pop_until`].
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<ScheduledEvent<E>> {
+        self.pop_entry(Some(deadline))
+    }
+
+    fn pop_entry(&mut self, deadline: Option<SimTime>) -> Option<ScheduledEvent<E>> {
+        let top = self.heap.peek_mut()?;
+        if deadline.is_some_and(|d| top.at > d) {
+            return None;
         }
+        let entry = PeekMut::pop(top);
+        self.now = entry.at;
+        self.popped += 1;
+        Some(ScheduledEvent {
+            at: entry.at,
+            event: entry.event,
+        })
+    }
+
+    /// See [`EventQueue::clear`].
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.seq = 0;
     }
 }
 
@@ -574,15 +537,16 @@ impl<E> EventQueue<E> {
 mod difftest {
     use super::*;
 
-    /// Differential check: both engines produce identical pop sequences on a
+    /// Differential check: the wheel and the reference heap produce identical
+    /// pop sequences on a
     /// deterministic pseudo-random schedule mixing same-instant bursts,
     /// near-future and far-future (beyond-horizon) events, interleaved with
     /// pops and deadline-limited pops.
     pub fn differential_run(seed: u64, ops: usize) {
         use crate::rng::DetRng;
         let mut rng = DetRng::new(seed);
-        let mut wheel: EventQueue<u64> = EventQueue::with_engine(QueueEngine::Wheel);
-        let mut heap: EventQueue<u64> = EventQueue::with_engine(QueueEngine::Heap);
+        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut heap: HeapQueue<u64> = HeapQueue::new();
         let mut next_id = 0u64;
         for _ in 0..ops {
             match rng.below(10) {
@@ -663,28 +627,26 @@ mod tests {
         EventQueue::new()
     }
 
-    /// Runs `test` against both engines.
-    fn for_both(test: impl Fn(EventQueue<u32>)) {
-        test(EventQueue::with_engine(QueueEngine::Wheel));
-        test(EventQueue::with_engine(QueueEngine::Heap));
-    }
-
-    #[test]
-    fn default_engine_is_wheel() {
-        assert_eq!(q().engine(), QueueEngine::Wheel);
-        assert_eq!(
-            EventQueue::<u32>::with_engine(QueueEngine::Heap).engine(),
-            QueueEngine::Heap
-        );
-        assert_eq!(QueueEngine::parse("heap"), Some(QueueEngine::Heap));
-        assert_eq!(QueueEngine::parse("wheel"), Some(QueueEngine::Wheel));
-        assert_eq!(QueueEngine::parse("btree"), None);
-        assert_eq!(QueueEngine::Wheel.name(), "wheel");
+    /// Runs `body` against the wheel and the reference heap, with `$Q`
+    /// naming the queue type under test.
+    macro_rules! for_both {
+        ($Q:ident, |mut $q:ident| $body:block) => {{
+            {
+                type $Q = EventQueue<u32>;
+                let mut $q = $Q::new();
+                $body
+            }
+            {
+                type $Q = HeapQueue<u32>;
+                let mut $q = $Q::new();
+                $body
+            }
+        }};
     }
 
     #[test]
     fn pops_in_time_order() {
-        for_both(|mut q| {
+        for_both!(Q, |mut q| {
             q.schedule_at(SimTime::from_nanos(30), 3);
             q.schedule_at(SimTime::from_nanos(10), 1);
             q.schedule_at(SimTime::from_nanos(20), 2);
@@ -695,7 +657,7 @@ mod tests {
 
     #[test]
     fn ties_pop_fifo() {
-        for_both(|mut q| {
+        for_both!(Q, |mut q| {
             for i in 0..100 {
                 q.schedule_at(SimTime::from_nanos(5), i);
             }
@@ -706,7 +668,7 @@ mod tests {
 
     #[test]
     fn clock_advances_on_pop() {
-        for_both(|mut q| {
+        for_both!(Q, |mut q| {
             q.schedule_at(SimTime::from_nanos(42), 0);
             assert_eq!(q.now(), SimTime::ZERO);
             q.pop();
@@ -725,7 +687,7 @@ mod tests {
 
     #[test]
     fn pop_until_respects_deadline() {
-        for_both(|mut q| {
+        for_both!(Q, |mut q| {
             q.schedule_at(SimTime::from_nanos(10), 1);
             q.schedule_at(SimTime::from_nanos(100), 2);
             assert_eq!(q.pop_until(SimTime::from_nanos(50)).unwrap().event, 1);
@@ -738,7 +700,7 @@ mod tests {
 
     #[test]
     fn schedule_now_fires_after_existing_same_instant_events() {
-        for_both(|mut q| {
+        for_both!(Q, |mut q| {
             q.schedule_now(1);
             q.schedule_now(2);
             assert_eq!(q.pop().unwrap().event, 1);
@@ -748,7 +710,7 @@ mod tests {
 
     #[test]
     fn counts_processed_events() {
-        for_both(|mut q| {
+        for_both!(Q, |mut q| {
             q.schedule_now(1);
             q.schedule_now(2);
             q.pop();
@@ -760,7 +722,7 @@ mod tests {
 
     #[test]
     fn clear_resets_tie_break_but_not_events_processed() {
-        for_both(|mut q| {
+        for_both!(Q, |mut q| {
             // Drive the seq counter up, then clear.
             for i in 0..10 {
                 q.schedule_now(i);
@@ -772,7 +734,7 @@ mod tests {
 
             // A reused queue must order same-instant events exactly like a
             // fresh one (the seq counter used to carry over).
-            let mut fresh = EventQueue::with_engine(q.engine());
+            let mut fresh = Q::new();
             // Align the fresh clock with the reused queue's.
             fresh.schedule_at(q.now(), 999);
             fresh.pop();
@@ -790,7 +752,7 @@ mod tests {
 
     #[test]
     fn peek_time_reports_next_event() {
-        for_both(|mut q| {
+        for_both!(Q, |mut q| {
             assert_eq!(q.peek_time(), None);
             q.schedule_at(SimTime::from_nanos(70), 1);
             q.schedule_at(SimTime::from_nanos(30), 2);
@@ -807,7 +769,7 @@ mod tests {
     /// and that far slot must still pop first.
     #[test]
     fn near_event_scheduled_after_far_future_peek_pops_first() {
-        let mut q: EventQueue<u32> = EventQueue::with_engine(QueueEngine::Wheel);
+        let mut q: EventQueue<u32> = EventQueue::new();
         // Far beyond the wheel horizon (262 µs): lands in overflow.
         q.schedule_at(SimTime::from_nanos(10_000_000), 1);
         // Force a cursor jump to the overflow minimum's slot.
@@ -823,7 +785,7 @@ mod tests {
 
     #[test]
     fn horizon_boundary_and_wraparound() {
-        for_both(|mut q| {
+        for_both!(Q, |mut q| {
             // Straddle the wheel horizon (1024 slots × 256 ns = 262_144 ns)
             // and force multiple wheel revolutions.
             let times = [

@@ -326,79 +326,6 @@ impl TraceData {
             }
         }
     }
-
-    /// Inverse of [`TraceData::encode`]. `&'static str` fields come back
-    /// through the process-wide intern table.
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<TraceData> {
-        Ok(match r.u8()? {
-            0 => TraceData::BusSend {
-                what: r.str()?,
-                dst: r.str()?,
-            },
-            1 => TraceData::Discovery {
-                pattern: r.str()?,
-                dst: r.str()?,
-            },
-            2 => TraceData::Deliver {
-                to: r.str()?,
-                kind: lastcpu_snap::intern_static(&r.str()?),
-            },
-            3 => TraceData::BusRegister { device: r.str()? },
-            4 => TraceData::IommuMap {
-                device: r.str()?,
-                pasid: r.u32()?,
-                va: r.u64()?,
-                pa: r.u64()?,
-                pages: r.u64()?,
-                perms: r.str()?,
-            },
-            5 => TraceData::IommuUnmap {
-                device: r.str()?,
-                pasid: r.u32()?,
-                va: r.u64()?,
-                pages: r.u64()?,
-            },
-            6 => TraceData::MapFailure { error: r.str()? },
-            7 => TraceData::DmaGrant {
-                to: r.str()?,
-                pages: r.u64()?,
-                writable: r.bool()?,
-            },
-            8 => TraceData::QueueDoorbell {
-                to: r.str()?,
-                value: r.u64()?,
-            },
-            9 => TraceData::DeviceFault {
-                device: r.str()?,
-                detail: r.str()?,
-            },
-            10 => TraceData::SecurityDenial {
-                device: r.str()?,
-                check: r.str()?,
-                detail: r.str()?,
-            },
-            11 => TraceData::Stage {
-                stage: lastcpu_snap::intern_static(&r.str()?),
-                id: r.u64()?,
-                aux: r.u64()?,
-            },
-            12 => TraceData::LinkHop {
-                src_machine: r.u64()? as usize,
-                dst_machine: r.u64()? as usize,
-                bytes: r.u64()?,
-                uplink_ns: r.u64()?,
-                spine_ns: r.u64()?,
-                downlink_ns: r.u64()?,
-            },
-            13 => TraceData::Text(r.str()?),
-            tag => {
-                return Err(lastcpu_snap::SnapError::Corrupt {
-                    section: "trace".into(),
-                    detail: format!("unknown TraceData tag {tag}"),
-                })
-            }
-        })
-    }
 }
 
 /// One trace record: when, who, which activity, and what.
@@ -426,16 +353,6 @@ impl TraceRecord {
         w.put_str(&self.source);
         w.put_u64(self.corr.0);
         self.data.encode(w);
-    }
-
-    /// Inverse of [`TraceRecord::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<TraceRecord> {
-        Ok(TraceRecord {
-            at: SimTime::from_nanos(r.u64()?),
-            source: r.str()?,
-            corr: CorrId(r.u64()?),
-            data: TraceData::decode(r)?,
-        })
     }
 }
 

@@ -269,29 +269,6 @@ impl lastcpu_snap::Snapshot for Histogram {
     }
 }
 
-impl lastcpu_snap::Restore for Histogram {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.reset();
-        self.count = r.u64()?;
-        self.sum = r.u128()?;
-        self.min = r.u64()?;
-        self.max = r.u64()?;
-        let n = r.len()?;
-        for _ in 0..n {
-            let idx = r.u32()? as usize;
-            let c = r.u32()?;
-            if idx >= BUCKETS {
-                return Err(lastcpu_snap::SnapError::Corrupt {
-                    section: "histogram".into(),
-                    detail: format!("bucket index {idx} out of range"),
-                });
-            }
-            self.buckets[idx] = c;
-        }
-        Ok(())
-    }
-}
-
 /// A named registry of counters and histograms.
 ///
 /// Devices and subsystems record into the registry by string key; the bench

@@ -7,23 +7,22 @@
 //! fixed-width LE integers, length-prefixed byte strings, no compression
 //! except an RLE helper for sparse memory — because the property that
 //! matters is not density but *stability*: the same component state must
-//! encode to the same bytes on every host, every run, every thread count.
+//! encode to the same bytes on every host and every run.
 //!
-//! Two traits split the work:
+//! Every stateful component implements [`Snapshot`]: it serializes its
+//! state into a [`SnapWriter`] and needs only `&self`. There is no
+//! decoder for component state. `System` and `Fabric` restore by
+//! deterministic re-execution to the manifest's event cursor and then
+//! *verify* every section byte-for-byte against a fresh snapshot (see
+//! DESIGN.md §14 for why re-execution + verification stands in for
+//! in-place loading in a deterministic simulator, and is strictly harder
+//! to get silently wrong).
 //!
-//! - [`Snapshot`] — serialize your state into a [`SnapWriter`]. Every
-//!   stateful component implements this; it needs only `&self`.
-//! - [`Restore`] — load state back *in place* from a [`SnapReader`].
-//!   Implemented where in-place loading is tractable (RNGs, queues, pools,
-//!   metrics); higher layers (`System`, `Fabric`) restore by deterministic
-//!   re-execution to the manifest's event cursor and then *verify* every
-//!   section byte-for-byte against a fresh snapshot (see DESIGN.md §14 for
-//!   why re-execution + verification is equivalent to in-place loading in a
-//!   deterministic simulator, and strictly harder to get silently wrong).
-//!
-//! Corruption never loads partially: [`Checkpoint::decode`] verifies every
-//! section checksum before any component sees any bytes, and readers
-//! bounds-check every primitive.
+//! Corruption never verifies: [`Checkpoint::decode`] checks every section
+//! checksum before any section is handed out, and [`SnapReader`]
+//! bounds-checks every primitive of the framing.
+
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -58,33 +57,14 @@ pub fn fnv1a_fold(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Interns a string with `'static` lifetime.
-///
-/// Checkpointed enums carry a few `&'static str` fields (trace stage names,
-/// delivery kinds); restore rebuilds them through this table. Each distinct
-/// string leaks exactly once per process — the sets involved are tiny and
-/// fixed (protocol milestone names), so this is bounded.
-pub fn intern_static(s: &str) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    static TABLE: OnceLock<Mutex<std::collections::BTreeSet<&'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(std::collections::BTreeSet::new()));
-    let mut t = table.lock().expect("intern table poisoned");
-    if let Some(&hit) = t.get(s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    t.insert(leaked);
-    leaked
-}
-
 /// Why a checkpoint could not be produced or loaded.
 #[derive(Debug)]
 pub enum SnapError {
     /// The byte stream is structurally invalid (truncated, bad magic,
     /// trailing garbage, out-of-range length).
     Corrupt { section: String, detail: String },
-    /// A section's stored checksum does not match its body. Restore refuses
-    /// to load *any* state from a checkpoint with a bad section.
+    /// A section's stored checksum does not match its body. Decode refuses
+    /// a checkpoint with any bad section.
     ChecksumMismatch {
         section: String,
         want: u64,
@@ -92,7 +72,7 @@ pub enum SnapError {
     },
     /// The checkpoint was written by an incompatible schema revision.
     VersionMismatch { want: u32, got: u32 },
-    /// A component the restore path needs is absent from the checkpoint.
+    /// A section the caller asked for is absent from the checkpoint.
     MissingSection(String),
     /// The component does not support snapshot (default trait impls fail
     /// loudly rather than silently skipping state).
@@ -194,8 +174,8 @@ impl SnapWriter {
     }
 
     pub fn put_f64(&mut self, v: f64) {
-        // Bit pattern, not value: NaN payloads and -0.0 must round-trip so
-        // snapshot→restore→snapshot is byte-identical.
+        // Bit pattern, not value: NaN payloads and -0.0 keep distinct
+        // encodings.
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
@@ -253,7 +233,7 @@ impl SnapWriter {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian decoder over one section body.
+/// Bounds-checked little-endian decoder for the checkpoint framing.
 pub struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -269,9 +249,8 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Builds a [`SnapError::Corrupt`] naming this reader's section, for
-    /// component decoders that detect semantic invariant violations.
-    pub fn corrupt(&self, detail: impl Into<String>) -> SnapError {
+    /// Builds a [`SnapError::Corrupt`] naming this reader's section.
+    fn corrupt(&self, detail: impl Into<String>) -> SnapError {
         SnapError::Corrupt {
             section: self.section.clone(),
             detail: detail.into(),
@@ -279,11 +258,11 @@ impl<'a> SnapReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(self.corrupt(format!(
                 "truncated: need {n} bytes at offset {}, have {}",
                 self.pos,
-                self.buf.len() - self.pos
+                self.remaining()
             )));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -291,11 +270,11 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    /// Restore must consume sections exactly; leftover bytes mean the
+    /// Decoding must consume the input exactly; leftover bytes mean the
     /// decoder and encoder disagree about the layout.
     pub fn finish(&self) -> Result<()> {
         if self.remaining() != 0 {
@@ -304,40 +283,12 @@ impl<'a> SnapReader<'a> {
         Ok(())
     }
 
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(self.corrupt(format!("bad bool byte {v}"))),
-        }
-    }
-
-    pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
     pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn u128(&mut self) -> Result<u128> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// A collection length, sanity-capped against the bytes actually left so
@@ -363,36 +314,6 @@ impl<'a> SnapReader<'a> {
         let b = self.bytes()?;
         String::from_utf8(b).map_err(|e| self.corrupt(format!("invalid utf-8: {e}")))
     }
-
-    pub fn opt<T>(&mut self, mut f: impl FnMut(&mut Self) -> Result<T>) -> Result<Option<T>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            v => Err(self.corrupt(format!("bad option tag {v}"))),
-        }
-    }
-
-    /// Inverse of [`SnapWriter::put_bytes_rle`].
-    pub fn bytes_rle(&mut self) -> Result<Vec<u8>> {
-        let total = self.len()?;
-        let runs = self.u64()?;
-        let mut out = Vec::with_capacity(total);
-        for _ in 0..runs {
-            let n = self.len()?;
-            let byte = self.u8()?;
-            if out.len() + n > total {
-                return Err(self.corrupt("rle runs exceed declared length"));
-            }
-            out.resize(out.len() + n, byte);
-        }
-        if out.len() != total {
-            return Err(self.corrupt(format!(
-                "rle runs cover {} of {total} declared bytes",
-                out.len()
-            )));
-        }
-        Ok(out)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -402,8 +323,8 @@ impl<'a> SnapReader<'a> {
 /// Serialize complete component state, deterministically.
 ///
 /// The contract: two components in the same logical state write identical
-/// bytes, regardless of how they reached that state (insertion order, thread
-/// count, process lifetime). Anything violating that breaks checkpoint
+/// bytes, regardless of how they reached that state (insertion order,
+/// process lifetime). Anything violating that breaks checkpoint
 /// verification, so implementations must iterate maps in sorted order and
 /// never serialize addresses, capacities, or wall-clock values.
 pub trait Snapshot {
@@ -414,21 +335,6 @@ pub trait Snapshot {
         let mut w = SnapWriter::new();
         self.snapshot(&mut w);
         w.into_bytes()
-    }
-}
-
-/// Load serialized state back in place.
-///
-/// After `restore`, a fresh [`Snapshot::snapshot_bytes`] must equal the bytes
-/// that were restored from (the round-trip property the proptests pin).
-pub trait Restore {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<()>;
-
-    /// Restore from a full section body, requiring exact consumption.
-    fn restore_bytes(&mut self, section: &str, bytes: &[u8]) -> Result<()> {
-        let mut r = SnapReader::new(section, bytes);
-        self.restore(&mut r)?;
-        r.finish()
     }
 }
 
@@ -519,11 +425,6 @@ impl Checkpoint {
 
     pub fn has_section(&self, tag: &str) -> bool {
         self.sections.iter().any(|(t, _)| t == tag)
-    }
-
-    /// A reader over one section's body.
-    pub fn reader(&self, tag: &str) -> Result<SnapReader<'_>> {
-        Ok(SnapReader::new(tag, self.section(tag)?))
     }
 
     pub fn section_tags(&self) -> impl Iterator<Item = &str> {
@@ -642,23 +543,9 @@ impl Snapshot for u64 {
     }
 }
 
-impl Restore for u64 {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<()> {
-        *self = r.u64()?;
-        Ok(())
-    }
-}
-
 impl Snapshot for Vec<u8> {
     fn snapshot(&self, w: &mut SnapWriter) {
         w.put_bytes(self);
-    }
-}
-
-impl Restore for Vec<u8> {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<()> {
-        *self = r.bytes()?;
-        Ok(())
     }
 }
 
@@ -669,19 +556,6 @@ impl Snapshot for BTreeMap<String, u64> {
             w.put_str(k);
             w.put_u64(*v);
         }
-    }
-}
-
-impl Restore for BTreeMap<String, u64> {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<()> {
-        self.clear();
-        let n = r.len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let v = r.u64()?;
-            self.insert(k, v);
-        }
-        Ok(())
     }
 }
 
@@ -755,17 +629,24 @@ mod tests {
     }
 
     #[test]
-    fn rle_round_trip() {
+    fn rle_encodes_runs() {
         let mut img = vec![0u8; 4096];
         img[100] = 7;
         img[2000..2100].fill(0xAB);
         let mut w = SnapWriter::new();
         w.put_bytes_rle(&img);
         let enc = w.into_bytes();
+        // Length, run count, then (run_len, byte) per run: 0, 7, 0, 0xAB, 0.
+        let runs: [(u64, u8); 5] = [(100, 0), (1, 7), (1899, 0), (100, 0xAB), (1996, 0)];
+        let mut want = SnapWriter::new();
+        want.put_len(img.len());
+        want.put_u64(runs.len() as u64);
+        for (n, b) in runs {
+            want.put_u64(n);
+            want.put_u8(b);
+        }
+        assert_eq!(enc, want.into_bytes());
         assert!(enc.len() < img.len() / 4, "rle should compress sparse data");
-        let mut r = SnapReader::new("rle", &enc);
-        assert_eq!(r.bytes_rle().unwrap(), img);
-        r.finish().unwrap();
     }
 
     #[test]

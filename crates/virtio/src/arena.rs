@@ -92,27 +92,6 @@ impl lastcpu_snap::Snapshot for BufferArena {
     }
 }
 
-impl lastcpu_snap::Restore for BufferArena {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.base = r.u64()?;
-        self.slot_size = r.u64()?;
-        self.total = r.u16()?;
-        let n = r.len()?;
-        if n > self.total as usize {
-            return Err(r.corrupt("more free slots than arena total"));
-        }
-        self.free = Vec::with_capacity(n);
-        for _ in 0..n {
-            let s = r.u16()?;
-            if s >= self.total {
-                return Err(r.corrupt(format!("free slot {s} out of range")));
-            }
-            self.free.push(s);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -121,16 +121,6 @@ impl QueueLayout {
         w.put_u64(self.avail);
         w.put_u64(self.used);
     }
-
-    /// Inverse of [`QueueLayout::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(QueueLayout {
-            size: r.u16()?,
-            desc: r.u64()?,
-            avail: r.u64()?,
-            used: r.u64()?,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -867,60 +867,11 @@ impl lastcpu_snap::Snapshot for VirtqueueDriver {
     }
 }
 
-impl lastcpu_snap::Restore for VirtqueueDriver {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.layout = QueueLayout::decode(r)?;
-        let n = r.len()?;
-        self.free = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.free.push(r.u16()?);
-        }
-        self.avail_idx = r.u16()?;
-        self.last_used = r.u16()?;
-        let n = r.len()?;
-        self.chains = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let head = r.u16()?;
-            let k = r.len()?;
-            let mut ids = Vec::with_capacity(k);
-            for _ in 0..k {
-                ids.push(r.u16()?);
-            }
-            self.chains.insert(head, ids);
-        }
-        Ok(())
-    }
-}
-
 impl lastcpu_snap::Snapshot for VirtqueueDevice {
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         self.layout.encode(w);
         w.put_u16(self.last_avail);
         w.put_u16(self.used_idx);
-    }
-}
-
-impl lastcpu_snap::Restore for VirtqueueDevice {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.layout = QueueLayout::decode(r)?;
-        self.last_avail = r.u16()?;
-        self.used_idx = r.u16()?;
-        Ok(())
-    }
-}
-
-impl VirtqueueDriver {
-    /// A driver endpoint with empty state, intended as the target of a
-    /// [`lastcpu_snap::Restore`] — it touches no queue memory (unlike
-    /// [`VirtqueueDriver::create`]) and is unusable until restored.
-    pub fn detached() -> Self {
-        VirtqueueDriver {
-            layout: QueueLayout::new(0, 1),
-            free: Vec::new(),
-            chains: HashMap::new(),
-            avail_idx: 0,
-            last_used: 0,
-        }
     }
 }
 

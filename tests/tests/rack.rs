@@ -285,16 +285,13 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Deep fingerprint of a rack run under `threads` fabric workers: merged
-/// trace, fabric + per-machine metrics exports, pool activity, per-machine
-/// key counts, client progress, and the acked-write audit. Any divergence
-/// between thread counts — event reordering, a racy counter, a pool buffer
-/// taken in a different order — lands in this string.
-fn threads_fingerprint(seed: u64, threads: usize, crash: bool) -> String {
-    let mut cfg = FabricConfig {
-        threads,
-        ..FabricConfig::default()
-    };
+/// Deep fingerprint of a rack run: merged trace, fabric + per-machine
+/// metrics exports, pool activity, per-machine key counts, client progress,
+/// and the acked-write audit. Any divergence between two runs — event
+/// reordering, a counter, a pool buffer taken in a different order — lands
+/// in this string.
+fn deep_fingerprint(seed: u64, crash: bool) -> String {
+    let mut cfg = FabricConfig::default();
     if crash {
         let mut plan = FaultPlan::new(seed ^ 0xFAB);
         plan.inject(SimTime::from_nanos(2_000_000), "m1", FaultKind::Crash);
@@ -316,7 +313,7 @@ fn threads_fingerprint(seed: u64, threads: usize, crash: bool) -> String {
         rack.setup.fabric.run_for(SimDuration::from_secs(2));
     } else {
         rack.run_to_completion(SimDuration::from_secs(10));
-        assert!(rack.all_done(), "workload incomplete at threads={threads}");
+        assert!(rack.all_done(), "workload incomplete (seed {seed:#x})");
     }
 
     let fab = &rack.setup.fabric;
@@ -345,41 +342,35 @@ fn threads_fingerprint(seed: u64, threads: usize, crash: bool) -> String {
 }
 
 #[test]
-fn thread_count_is_invisible_to_rack_results() {
-    // The E13 determinism contract: one thread and N threads run the SAME
-    // windowed schedule, so every observable — merged trace, metrics,
-    // pool activity, final KVS state — is bit-identical from a seed.
+fn rack_results_replay_bit_identically() {
+    // The windowed schedule is the rack's event order, so every observable
+    // — merged trace, metrics, pool activity, final KVS state — is
+    // bit-identical from a seed.
     for seed in [7u64, 0xE13, 1984] {
-        let base = threads_fingerprint(seed, 1, false);
-        for threads in [2usize, 4] {
-            assert_eq!(
-                base,
-                threads_fingerprint(seed, threads, false),
-                "seed {seed:#x}: threads={threads} diverged from threads=1"
-            );
-        }
+        assert_eq!(
+            deep_fingerprint(seed, false),
+            deep_fingerprint(seed, false),
+            "seed {seed:#x}: rerun diverged"
+        );
     }
     assert_ne!(
-        threads_fingerprint(7, 1, false),
-        threads_fingerprint(8, 1, false),
+        deep_fingerprint(7, false),
+        deep_fingerprint(8, false),
         "fingerprint insensitive to seed — it proves nothing"
     );
 }
 
 #[test]
-fn thread_count_is_invisible_under_crash_faults() {
-    // Faults are fabric control points: the window scheduler must fire them
-    // at a globally consistent instant regardless of partitioning, so the
-    // crash arm replays bit-identically across thread counts too.
+fn rack_replays_bit_identically_under_crash_faults() {
+    // Faults are fabric control points: the window scheduler fires them at
+    // a globally consistent instant, so the crash arm replays
+    // bit-identically too.
     for seed in [7u64, 0xE13, 1984] {
-        let base = threads_fingerprint(seed, 1, true);
-        for threads in [2usize, 4] {
-            assert_eq!(
-                base,
-                threads_fingerprint(seed, threads, true),
-                "seed {seed:#x}: crash arm diverged at threads={threads}"
-            );
-        }
+        assert_eq!(
+            deep_fingerprint(seed, true),
+            deep_fingerprint(seed, true),
+            "seed {seed:#x}: crash arm diverged on rerun"
+        );
     }
 }
 
@@ -410,10 +401,9 @@ fn every_retry_policy_replays_bit_identically() {
 /// ECMP across 8 spines): fabric metrics, final clock, per-machine KVS
 /// state, client progress, and the acked-write audit. Tracing stays off —
 /// at this scale the merged trace would dominate the (debug-build) test.
-fn leaf_spine_fingerprint(threads: usize) -> String {
+fn leaf_spine_fingerprint() -> String {
     const MACHINES: usize = 64;
     let cfg = FabricConfig {
-        threads,
         topology: TopologyConfig {
             kind: TopoKind::LeafSpine { leaf_size: 8 },
             oversub: 1,
@@ -431,10 +421,7 @@ fn leaf_spine_fingerprint(threads: usize) -> String {
     let mut rack = build_rack_cfg(cfg, MACHINES, 2, 0xE10, false, &wl, RetryPolicy::default());
     rack.setup.fabric.power_on();
     rack.run_to_completion(SimDuration::from_secs(30));
-    assert!(
-        rack.all_done(),
-        "64-machine leaf-spine workload incomplete at threads={threads}"
-    );
+    assert!(rack.all_done(), "64-machine leaf-spine workload incomplete");
     let fab = &rack.setup.fabric;
     let mut fp = format!(
         "now={};fabmet={:016x};",
@@ -453,15 +440,91 @@ fn leaf_spine_fingerprint(threads: usize) -> String {
 }
 
 #[test]
-fn leaf_spine_rack_replays_bit_identically_across_threads() {
-    // The ISSUE-10 scale-out contract: a 64-machine rack on a real
-    // leaf-spine tree — per-link queuing, ECMP path diversity and all —
-    // must stay inside the windowed determinism envelope, so one worker
-    // and four workers produce the same bytes.
-    let base = leaf_spine_fingerprint(1);
+fn leaf_spine_rack_replays_bit_identically() {
+    // The scale-out contract: a 64-machine rack on a real leaf-spine tree —
+    // per-link queuing, ECMP path diversity and all — must stay inside the
+    // windowed determinism envelope, so two runs produce the same bytes.
     assert_eq!(
-        base,
-        leaf_spine_fingerprint(4),
-        "threads=4 diverged from threads=1 on 64-machine leaf-spine"
+        leaf_spine_fingerprint(),
+        leaf_spine_fingerprint(),
+        "64-machine leaf-spine rerun diverged"
     );
+}
+
+#[test]
+fn rack_restore_replays_a_single_run_and_continues_identically() {
+    // The checkpointed rack reached its cut in one `run_for`, so a fresh
+    // rack from the same recipe gets there in the one `run_until` that
+    // `restore_from` makes, verifies byte-for-byte, and then tracks the
+    // uninterrupted rack exactly.
+    let wl = small_workload();
+    let mut live = build_rack(3, 2, 0xC4, &wl);
+    live.setup.fabric.power_on();
+    live.setup.fabric.run_for(SimDuration::from_micros(9_000));
+    assert!(
+        live.setup.fabric.metrics().counter("fabric.bytes") > 0,
+        "the cut must fall after inter-machine traffic starts"
+    );
+    let ck = live.setup.fabric.checkpoint("cut").expect("checkpoint");
+
+    let mut fresh = build_rack(3, 2, 0xC4, &wl);
+    fresh.setup.fabric.power_on();
+    fresh
+        .setup
+        .fabric
+        .restore_from(&ck)
+        .expect("restore must verify byte-for-byte");
+
+    live.setup.fabric.run_for(SimDuration::from_micros(5_000));
+    fresh.setup.fabric.run_for(SimDuration::from_micros(5_000));
+    let a = live.setup.fabric.checkpoint("end").expect("checkpoint");
+    let b = fresh.setup.fabric.checkpoint("end").expect("checkpoint");
+    assert!(
+        a.diff(&b).is_none(),
+        "continuation diverged: {:?}",
+        a.diff(&b)
+    );
+
+    let mut other = build_rack(3, 2, 0xC5, &wl);
+    other.setup.fabric.power_on();
+    assert!(
+        other.setup.fabric.restore_from(&ck).is_err(),
+        "a rack built from another seed must not verify"
+    );
+}
+
+#[test]
+fn rack_restore_verifies_after_replaying_the_same_slices() {
+    // Each `run_until` deadline caps a window, so rack restore guarantees
+    // the same recipe *and* the same run slicing. A rack that reached its
+    // checkpoint in uneven slices restores by replaying those slices; the
+    // last one is the `run_until` inside `restore_from`.
+    let wl = small_workload();
+    let slices = [50u64, 500, 2_730, 5_830];
+    let mut live = build_rack(3, 2, 3, &wl);
+    live.setup.fabric.power_on();
+    for us in slices {
+        live.setup.fabric.run_for(SimDuration::from_micros(us));
+    }
+    assert!(
+        live.setup.fabric.metrics().counter("fabric.bytes") > 0,
+        "the cut must fall after inter-machine traffic starts"
+    );
+    let ck = live.setup.fabric.checkpoint("sliced").expect("checkpoint");
+
+    let mut fresh = build_rack(3, 2, 3, &wl);
+    fresh.setup.fabric.power_on();
+    for us in &slices[..slices.len() - 1] {
+        fresh.setup.fabric.run_for(SimDuration::from_micros(*us));
+    }
+    fresh
+        .setup
+        .fabric
+        .restore_from(&ck)
+        .expect("same slices must verify byte-for-byte");
+    fresh
+        .setup
+        .fabric
+        .restore_from(&ck)
+        .expect("restore at the checkpoint's own instant only verifies");
 }
